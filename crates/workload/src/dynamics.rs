@@ -30,6 +30,7 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use crate::config::WorkloadConfig;
+use crate::day_tables::DayTableBuilder;
 use crate::population::Population;
 
 /// The true day-by-day cache contents of every peer (before observation).
@@ -64,6 +65,9 @@ pub struct Dynamics<'a> {
     /// (otherwise small sharers would accumulate huge observed unions
     /// and flatten the Fig. 7 concentration).
     mean_target: f64,
+    /// Lifecycle-weighted sampling tables for the current day and,
+    /// built during its draws, the next.
+    tables: DayTableBuilder<'a>,
 }
 
 impl<'a> Dynamics<'a> {
@@ -71,16 +75,16 @@ impl<'a> Dynamics<'a> {
     /// the day-zero lifecycle-weighted distribution.
     pub fn new(population: &'a Population, rng: &mut impl Rng) -> Self {
         let day = population.config.start_day;
-        let tables = population.reweighted_tables(|i| {
-            lifecycle(&population.config, population.files[i].birth_day, day)
-        });
+        let mut tables = DayTableBuilder::new(population);
         let mut caches = Vec::with_capacity(population.peers.len());
         let mut members = Vec::with_capacity(population.peers.len());
-        for (idx, peer) in population.peers.iter().enumerate() {
-            let cache = population.sample_cache(idx, peer.target_cache, &tables, rng);
-            members.push(cache.iter().copied().collect::<HashSet<_>>());
-            caches.push(cache.into_iter().collect::<VecDeque<_>>());
-        }
+        tables.sample_day(day, |tables| {
+            for (idx, peer) in population.peers.iter().enumerate() {
+                let cache = population.sample_cache(idx, peer.target_cache, tables, rng);
+                members.push(cache.iter().copied().collect::<HashSet<_>>());
+                caches.push(cache.into_iter().collect::<VecDeque<_>>());
+            }
+        });
         let sharers: Vec<f64> = population
             .peers
             .iter()
@@ -98,6 +102,7 @@ impl<'a> Dynamics<'a> {
             members,
             day,
             mean_target,
+            tables,
         }
     }
 
@@ -128,37 +133,35 @@ impl<'a> Dynamics<'a> {
     pub fn step(&mut self, rng: &mut impl Rng) {
         self.day += 1;
         let config = &self.population.config;
-        let day = self.day;
-        let tables = self
-            .population
-            .reweighted_tables(|i| lifecycle(config, self.population.files[i].birth_day, day));
-        for (idx, peer) in self.population.peers.iter().enumerate() {
-            if peer.is_free_rider() {
-                continue;
-            }
-            let rate =
-                config.daily_replacements * peer.target_cache as f64 / self.mean_target.max(1.0);
-            let replacements = crate::dist::poisson(rate, rng);
-            for _ in 0..replacements {
-                // Acquire one new file (a few tries to find a non-member).
-                let mut acquired = None;
-                for _ in 0..12 {
-                    let f = FileRef(self.population.sample_file(idx, &tables, rng));
-                    if !self.members[idx].contains(&f) {
-                        acquired = Some(f);
-                        break;
+        self.tables.sample_day(self.day, |tables| {
+            for (idx, peer) in self.population.peers.iter().enumerate() {
+                if peer.is_free_rider() {
+                    continue;
+                }
+                let rate = config.daily_replacements * peer.target_cache as f64
+                    / self.mean_target.max(1.0);
+                let replacements = crate::dist::poisson(rate, rng);
+                for _ in 0..replacements {
+                    // Acquire one new file (a few tries to find a non-member).
+                    let mut acquired = None;
+                    for _ in 0..12 {
+                        let f = FileRef(self.population.sample_file(idx, tables, rng));
+                        if !self.members[idx].contains(&f) {
+                            acquired = Some(f);
+                            break;
+                        }
+                    }
+                    let Some(f) = acquired else { continue };
+                    self.caches[idx].push_back(f);
+                    self.members[idx].insert(f);
+                    // Evict the oldest entry to hold the target size.
+                    if self.caches[idx].len() > peer.target_cache {
+                        let evicted = self.caches[idx].pop_front().expect("cache is non-empty");
+                        self.members[idx].remove(&evicted);
                     }
                 }
-                let Some(f) = acquired else { continue };
-                self.caches[idx].push_back(f);
-                self.members[idx].insert(f);
-                // Evict the oldest entry to hold the target size.
-                if self.caches[idx].len() > peer.target_cache {
-                    let evicted = self.caches[idx].pop_front().expect("cache is non-empty");
-                    self.members[idx].remove(&evicted);
-                }
             }
-        }
+        });
     }
 
     /// Runs the configured number of days, returning the ground truth
@@ -459,6 +462,32 @@ mod tests {
         let (_, a) = generate_trace(tiny_config());
         let (_, b) = generate_trace(tiny_config());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lookahead_path_equals_synchronous_path() {
+        for days in 1..=3 {
+            let mut config = tiny_config();
+            config.days = days;
+            let pop = Population::generate(config);
+            let truth = |lookahead: bool| {
+                let mut rng = StdRng::seed_from_u64(4);
+                let mut dyn_sim = Dynamics::new(&pop, &mut rng);
+                let mut snapshots = vec![dyn_sim.snapshot()];
+                for _ in 1..days {
+                    if !lookahead {
+                        dyn_sim.tables.forget_lookahead();
+                    }
+                    dyn_sim.step(&mut rng);
+                    snapshots.push(dyn_sim.snapshot());
+                }
+                snapshots
+            };
+            let mut rng = StdRng::seed_from_u64(4);
+            let run = Dynamics::new(&pop, &mut rng).run(&mut rng);
+            assert_eq!(run.days, truth(true), "run vs stepping, {days} days");
+            assert_eq!(truth(true), truth(false), "{days} days");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod adversary;
 pub mod arrivals;
 pub mod churn;
 pub mod config;
+mod day_tables;
 pub mod dist;
 pub mod dynamics;
 pub mod geo;

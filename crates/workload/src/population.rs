@@ -90,13 +90,66 @@ pub struct Population {
     /// All peers, indexed by `PeerId`.
     pub peers: Vec<GenPeer>,
 
-    // --- sampling tables (static attractiveness; dynamics rebuilds its
-    // own lifecycle-weighted tables per day) ---
-    topic_files: Vec<Vec<u32>>,
-    topic_file_cum: Vec<Vec<f64>>,
-    country_files: Vec<Vec<u32>>,
-    country_file_cum: Vec<Vec<f64>>,
+    // --- sampling tables (static attractiveness; dynamics builds its
+    // own lifecycle-weighted tables per day, see `day_tables`) ---
+    pub(crate) topic_files: FileLists,
+    topic_file_cum: Vec<f64>,
+    pub(crate) country_files: FileLists,
+    country_file_cum: Vec<f64>,
     global_cum: Vec<f64>,
+}
+
+/// Files grouped into lists (one per topic or per country), stored
+/// flat: list `i` is `files[offsets[i]..offsets[i + 1]]`, in file
+/// order. A cumulative table over the lists is one flat `Vec<f64>`
+/// aligned with `files`, restarting its running sum at each list.
+pub(crate) struct FileLists {
+    offsets: Vec<usize>,
+    pub(crate) files: Vec<u32>,
+}
+
+impl FileLists {
+    /// Groups each file `f` into the list `list_of` yields for it (a
+    /// counting sort).
+    fn group(n_lists: usize, list_of: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut offsets = vec![0usize; n_lists + 1];
+        for list in list_of.clone() {
+            offsets[list + 1] += 1;
+        }
+        for i in 0..n_lists {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut files = vec![0u32; offsets[n_lists]];
+        for (f, list) in list_of.enumerate() {
+            files[next[list]] = f as u32;
+            next[list] += 1;
+        }
+        FileLists { offsets, files }
+    }
+
+    /// The position range of list `i` in `files` (and in its tables).
+    pub(crate) fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
+    }
+
+    /// Every list's position range, in list order.
+    pub(crate) fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.offsets.windows(2).map(|w| w[0]..w[1])
+    }
+
+    /// The per-list cumulative table of `weight(file)`.
+    fn cumulative(&self, weight: impl Fn(u32) -> f64) -> Vec<f64> {
+        let mut cum = Vec::with_capacity(self.files.len());
+        for range in self.ranges() {
+            let mut acc = 0.0;
+            for &f in &self.files[range] {
+                acc += weight(f);
+                cum.push(acc);
+            }
+        }
+        cum
+    }
 }
 
 impl Population {
@@ -264,33 +317,17 @@ impl Population {
         files: Vec<GenFile>,
         peers: Vec<GenPeer>,
     ) -> Self {
-        let mut topic_files: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
-        let mut country_files: Vec<Vec<u32>> = vec![Vec::new(); geography.countries().len()];
-        for (idx, file) in files.iter().enumerate() {
-            topic_files[file.topic as usize].push(idx as u32);
-            country_files[file.home_country].push(idx as u32);
-        }
-        let weight_table = |list: &[u32]| -> Vec<f64> {
-            cumulative_from_weights(
-                &list
-                    .iter()
-                    .map(|&f| files[f as usize].attractiveness)
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let topic_files = FileLists::group(topics.len(), files.iter().map(|f| f.topic as usize));
+        let country_files = FileLists::group(
+            geography.countries().len(),
+            files.iter().map(|f| f.home_country),
+        );
+        let attractiveness = |f: u32| files[f as usize].attractiveness;
         // Interest draws flatten within-topic popularity: collectors dig
         // into their topics' tails (the source of rare-file clustering).
         let depth = config.interest_depth;
-        let depth_table = |list: &[u32]| -> Vec<f64> {
-            cumulative_from_weights(
-                &list
-                    .iter()
-                    .map(|&f| files[f as usize].attractiveness.powf(depth))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let topic_file_cum = topic_files.iter().map(|l| depth_table(l)).collect();
-        let country_file_cum = country_files.iter().map(|l| weight_table(l)).collect();
+        let topic_file_cum = topic_files.cumulative(|f| attractiveness(f).powf(depth));
+        let country_file_cum = country_files.cumulative(attractiveness);
         let global_cum =
             cumulative_from_weights(&files.iter().map(|f| f.attractiveness).collect::<Vec<_>>());
         Population {
@@ -319,9 +356,9 @@ impl Population {
 
     /// Draws one file for `peer` from the interest/locality mixture.
     ///
-    /// `reweight` optionally scales each file's attractiveness (the
-    /// dynamics module passes the day's lifecycle multipliers); `None`
-    /// uses static attractiveness.
+    /// `tables` are either [`Population::static_tables`] or the dynamics
+    /// module's day tables, which scale each file's weight by its
+    /// lifecycle multiplier on that day.
     pub fn sample_file(
         &self,
         peer_idx: usize,
@@ -335,72 +372,31 @@ impl Population {
             // Retry a few times in case the chosen topic has no files.
             for _ in 0..8 {
                 let t = peer.interests[rng.gen_range(0..peer.interests.len())] as usize;
-                if !tables.topic_files[t].is_empty() && *tables.topic_cum[t].last().unwrap() > 0.0 {
-                    let i = sample_cumulative(&tables.topic_cum[t], rng);
-                    return tables.topic_files[t][i];
+                if let Some(f) = sample_list(tables.topic_files, tables.topic_cum, t, rng) {
+                    return f;
                 }
             }
         } else if roll < self.config.interest_mix + self.config.geo_mix {
-            let c = peer.country_idx;
-            if !tables.country_files[c].is_empty() && *tables.country_cum[c].last().unwrap() > 0.0 {
-                let i = sample_cumulative(&tables.country_cum[c], rng);
-                return tables.country_files[c][i];
+            if let Some(f) = sample_list(
+                tables.country_files,
+                tables.country_cum,
+                peer.country_idx,
+                rng,
+            ) {
+                return f;
             }
         }
-        sample_cumulative(&tables.global_cum, rng) as u32
+        sample_cumulative(tables.global_cum, rng) as u32
     }
 
     /// The static (lifecycle-free) sampling tables.
     pub fn static_tables(&self) -> SampleTables<'_> {
         SampleTables {
             topic_files: &self.topic_files,
-            topic_cum: std::borrow::Cow::Borrowed(&self.topic_file_cum),
+            topic_cum: &self.topic_file_cum,
             country_files: &self.country_files,
-            country_cum: std::borrow::Cow::Borrowed(&self.country_file_cum),
-            global_cum: std::borrow::Cow::Borrowed(&self.global_cum),
-        }
-    }
-
-    /// Builds lifecycle-reweighted tables for one day.
-    ///
-    /// `weight_of(file_idx)` returns the day's multiplier (0 for unborn
-    /// files).
-    pub fn reweighted_tables(&self, weight_of: impl Fn(usize) -> f64) -> SampleTables<'_> {
-        let weights: Vec<f64> = self
-            .files
-            .iter()
-            .enumerate()
-            .map(|(i, f)| f.attractiveness * weight_of(i))
-            .collect();
-        // Interest draws keep their flattened within-topic profile while
-        // still following the day's lifecycle (new files surge inside
-        // their communities first).
-        let depth = self.config.interest_depth;
-        let depth_weights: Vec<f64> = self
-            .files
-            .iter()
-            .enumerate()
-            .map(|(i, f)| f.attractiveness.powf(depth) * weight_of(i))
-            .collect();
-        let table = |list: &[u32], w: &[f64]| -> Vec<f64> {
-            cumulative_from_weights(&list.iter().map(|&f| w[f as usize]).collect::<Vec<_>>())
-        };
-        SampleTables {
-            topic_files: &self.topic_files,
-            topic_cum: std::borrow::Cow::Owned(
-                self.topic_files
-                    .iter()
-                    .map(|l| table(l, &depth_weights))
-                    .collect(),
-            ),
-            country_files: &self.country_files,
-            country_cum: std::borrow::Cow::Owned(
-                self.country_files
-                    .iter()
-                    .map(|l| table(l, &weights))
-                    .collect(),
-            ),
-            global_cum: std::borrow::Cow::Owned(cumulative_from_weights(&weights)),
+            country_cum: &self.country_file_cum,
+            global_cum: &self.global_cum,
         }
     }
 
@@ -446,13 +442,25 @@ impl Population {
     }
 }
 
-/// Borrowed or per-day sampling tables used by [`Population::sample_file`].
+/// Static or per-day sampling tables used by [`Population::sample_file`].
 pub struct SampleTables<'a> {
-    topic_files: &'a [Vec<u32>],
-    topic_cum: std::borrow::Cow<'a, [Vec<f64>]>,
-    country_files: &'a [Vec<u32>],
-    country_cum: std::borrow::Cow<'a, [Vec<f64>]>,
-    global_cum: std::borrow::Cow<'a, [f64]>,
+    pub(crate) topic_files: &'a FileLists,
+    pub(crate) topic_cum: &'a [f64],
+    pub(crate) country_files: &'a FileLists,
+    pub(crate) country_cum: &'a [f64],
+    pub(crate) global_cum: &'a [f64],
+}
+
+/// Draws one file of list `i` by its cumulative table, or `None` when
+/// the list is empty or has zero total weight.
+fn sample_list(lists: &FileLists, cum: &[f64], i: usize, rng: &mut impl Rng) -> Option<u32> {
+    let range = lists.range(i);
+    let cum = &cum[range.clone()];
+    if cum.last().is_some_and(|&total| total > 0.0) {
+        Some(lists.files[range.start + sample_cumulative(cum, rng)])
+    } else {
+        None
+    }
 }
 
 /// Derives a stable 16-byte identity from `(seed, label, index)`.
@@ -580,18 +588,6 @@ mod tests {
             singletons as f64 / pops.len() as f64 > 0.4,
             "rare files must dominate the catalogue"
         );
-    }
-
-    #[test]
-    fn reweighted_tables_respect_zero_weights() {
-        let pop = small();
-        // Kill every file except refs 0..100; samples must stay in range.
-        let tables = pop.reweighted_tables(|i| if i < 100 { 1.0 } else { 0.0 });
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..500 {
-            let f = pop.sample_file(0, &tables, &mut rng);
-            assert!(f < 100, "sampled dead file {f}");
-        }
     }
 
     #[test]
