@@ -8,6 +8,7 @@ use edonkey_trace::randomize::{ArenaShuffler, ShuffleCheckpoint, Shuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::filters::{remove_top_files, remove_top_uploaders};
@@ -16,7 +17,8 @@ use crate::neighbours::PolicyKind;
 use crate::sim::{
     merge_partials, simulate_arena_health_with_scratch, simulate_arena_with_scratch,
     simulate_cell_range, split_eligible, AdversaryConfig, AvailabilityConfig, CellPartial,
-    QueryPolicy, SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch, SweepPrecomp,
+    ChurnSchedule, QueryPolicy, SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch,
+    SweepPrecomp,
 };
 
 /// One sweep point: a list size and its simulation result.
@@ -71,6 +73,43 @@ enum SweepTaskOut {
 struct SweepWorker {
     whole: SimScratch,
     split: SplitScratch,
+}
+
+/// A split cell's churn schedule, built when the first of its ranges
+/// starts and dropped when the last one finishes, so a sweep holds the
+/// tables of the cells in flight rather than of the whole grid.
+struct CellSchedule {
+    /// Ranges not yet finished, and the schedule while any runs.
+    state: Mutex<(usize, Option<Arc<ChurnSchedule>>)>,
+}
+
+impl CellSchedule {
+    fn new(ranges: usize) -> Self {
+        CellSchedule {
+            state: Mutex::new((ranges, None)),
+        }
+    }
+
+    /// The cell's schedule, built by `build` on first use.
+    fn acquire(&self, build: impl FnOnce() -> ChurnSchedule) -> Arc<ChurnSchedule> {
+        let mut state = self
+            .state
+            .lock()
+            .expect("another range panicked building the schedule");
+        Arc::clone(state.1.get_or_insert_with(|| Arc::new(build())))
+    }
+
+    /// Marks one range finished; the last one drops the schedule.
+    fn release(&self) {
+        let mut state = self
+            .state
+            .lock()
+            .expect("another range panicked building the schedule");
+        state.0 -= 1;
+        if state.0 == 0 {
+            state.1 = None;
+        }
+    }
 }
 
 /// Runs a batch of simulation cells over one arena with cell-splitting
@@ -144,6 +183,15 @@ fn run_sweep_cells(
             }
         }
     }
+    // One churn schedule per split cell, shared by all of its ranges
+    // (whole cells build their own inside the kernel).
+    let mut ranges = vec![0; configs.len()];
+    for task in &tasks {
+        if let SweepTask::Split { cell, .. } = *task {
+            ranges[cell] += 1;
+        }
+    }
+    let schedules: Vec<CellSchedule> = ranges.into_iter().map(CellSchedule::new).collect();
 
     let outs = parallel_map_weighted(
         &tasks,
@@ -154,14 +202,23 @@ fn run_sweep_cells(
             SweepTask::Whole { cell } => SweepTaskOut::Whole(Box::new(
                 simulate_arena_health_with_scratch(arena, &configs[cell], &mut worker.whole),
             )),
-            SweepTask::Split { cell, pre, lo, hi } => SweepTaskOut::Part(simulate_cell_range(
-                arena,
-                &precomps[pre].1,
-                &configs[cell],
-                (lo, hi),
-                &mut worker.split,
-                profile,
-            )),
+            SweepTask::Split { cell, pre, lo, hi } => {
+                let config = &configs[cell];
+                let schedule =
+                    schedules[cell].acquire(|| config.availability.schedule(arena.n_peers()));
+                let part = simulate_cell_range(
+                    arena,
+                    &precomps[pre].1,
+                    config,
+                    &schedule,
+                    (lo, hi),
+                    &mut worker.split,
+                    profile,
+                );
+                drop(schedule);
+                schedules[cell].release();
+                SweepTaskOut::Part(part)
+            }
         },
     );
 
@@ -246,11 +303,13 @@ pub fn sweep_cells_windowed(
                 }
             };
             let pre = &precomps[pre].1;
+            let schedule = config.availability.schedule(arena.n_peers());
             let mut acc = CellPartial::empty(arena.n_peers());
             let mut lo = 0u32;
             while lo < n_peers {
                 let hi = lo.saturating_add(window).min(n_peers);
-                let part = simulate_cell_range(arena, pre, config, (lo, hi), &mut split, false);
+                let part =
+                    simulate_cell_range(arena, pre, config, &schedule, (lo, hi), &mut split, false);
                 acc.absorb(&part);
                 lo = hi;
             }
@@ -735,6 +794,37 @@ mod tests {
 
     fn f(i: u32) -> FileRef {
         FileRef(i)
+    }
+
+    #[test]
+    fn cell_schedule_is_built_once_and_dropped_after_the_last_range() {
+        let cell = CellSchedule::new(3);
+        let mut builds = 0;
+        let config = AvailabilityConfig::default();
+        let first = cell.acquire(|| {
+            builds += 1;
+            config.schedule(10)
+        });
+        let second = cell.acquire(|| {
+            builds += 1;
+            config.schedule(10)
+        });
+        assert_eq!(builds, 1);
+        assert!(Arc::ptr_eq(&first, &second));
+        drop((first, second));
+        cell.release();
+        cell.release();
+        assert!(
+            cell.state.lock().unwrap().1.is_some(),
+            "one range still to run"
+        );
+        let third = cell.acquire(|| unreachable!("already built"));
+        cell.release();
+        assert!(
+            cell.state.lock().unwrap().1.is_none(),
+            "the last range drops it"
+        );
+        assert_eq!(Arc::strong_count(&third), 1);
     }
 
     /// Clustered communities plus a few generous super-peers.

@@ -453,11 +453,15 @@ mod tests {
     use edonkey_workload::churn::ChurnConfig;
 
     fn schedule(outage_days: Vec<u32>) -> ChurnSchedule {
-        ChurnSchedule::new(ChurnConfig {
-            seed: 0xc4c4,
-            churn_permille: 0,
-            outage_days,
-        })
+        ChurnSchedule::new(
+            ChurnConfig {
+                seed: 0xc4c4,
+                churn_permille: 0,
+                outage_days,
+            },
+            0,
+            0,
+        )
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //!   uploads per peer and keeps the highest counters.
 //! * **Random**: the benchmark — a list of uniformly random peers.
 //!
-//! All policies expose the same trait so the simulator is generic; they
-//! also maintain a membership set so "is this sharer one of my
-//! neighbours?" is O(1) during simulation.
+//! All policies expose the same trait so the simulator is generic. A
+//! list holds at most its capacity (≤ 200 in every experiment) of
+//! distinct peers, so membership is a scan of that short contiguous
+//! list; the simulator's hot "is this sharer one of my neighbours?"
+//! test never asks a policy at all but probes a peer-indexed mark
+//! array stamped from the list.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rand::Rng;
 
@@ -59,8 +62,10 @@ pub trait NeighbourPolicy {
     /// The current neighbour list, highest-priority first.
     fn neighbours(&self) -> &[Peer];
 
-    /// O(1) membership test.
-    fn contains(&self, peer: Peer) -> bool;
+    /// Membership test: a scan of the (capacity-bounded) list.
+    fn contains(&self, peer: Peer) -> bool {
+        self.neighbours().contains(&peer)
+    }
 
     /// The configured maximum list length.
     fn capacity(&self) -> usize;
@@ -87,7 +92,6 @@ pub struct Lru {
     /// Head = most recently used. Small lists: a Vec beats pointer
     /// structures for every capacity the paper uses (≤ 200).
     list: Vec<Peer>,
-    members: HashSet<Peer>,
     capacity: usize,
 }
 
@@ -101,7 +105,6 @@ impl Lru {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         Lru {
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
             capacity,
         }
     }
@@ -111,7 +114,6 @@ impl Lru {
     pub fn evict(&mut self, peer: Peer) -> bool {
         if let Some(pos) = self.list.iter().position(|&p| p == peer) {
             self.list.remove(pos);
-            self.members.remove(&peer);
             true
         } else {
             false
@@ -125,7 +127,6 @@ impl Lru {
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         self.list.clear();
-        self.members.clear();
         self.capacity = capacity;
     }
 
@@ -138,12 +139,9 @@ impl Lru {
         if let Some(pos) = self.list.iter().position(|&p| p == uploader) {
             self.list.remove(pos);
         } else {
-            self.members.insert(uploader);
             delta.0 = Some(uploader);
             if self.list.len() == self.capacity {
-                let evicted = self.list.pop().expect("list is at capacity > 0");
-                self.members.remove(&evicted);
-                delta.1 = Some(evicted);
+                delta.1 = self.list.pop();
             }
         }
         self.list.insert(0, uploader);
@@ -158,10 +156,6 @@ impl NeighbourPolicy for Lru {
 
     fn neighbours(&self) -> &[Peer] {
         &self.list
-    }
-
-    fn contains(&self, peer: Peer) -> bool {
-        self.members.contains(&peer)
     }
 
     fn capacity(&self) -> usize {
@@ -189,14 +183,17 @@ impl NeighbourPolicy for Lru {
 /// ```
 #[derive(Clone, Debug)]
 pub struct History {
-    /// Upload counters for every peer ever seen (the "history").
-    counts: HashMap<Peer, u64>,
+    /// `(uploads, clock at the last upload)` for every peer ever seen
+    /// (the "history"): the sort key, count first, recency breaking
+    /// ties.
+    stats: HashMap<Peer, (u64, u64)>,
     /// Logical clock for recency tie-breaks.
     clock: u64,
-    last_seen: HashMap<Peer, u64>,
-    /// Current top-`capacity` list, sorted by (count, recency) desc.
+    /// Current top-`capacity` list, sorted by key descending.
     list: Vec<Peer>,
-    members: HashSet<Peer>,
+    /// `keys[i]` is `list[i]`'s key, so re-sorting scans a flat vector
+    /// instead of looking every member up.
+    keys: Vec<(u64, u64)>,
     capacity: usize,
 }
 
@@ -209,20 +206,32 @@ impl History {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         History {
-            counts: HashMap::new(),
+            stats: HashMap::new(),
             clock: 0,
-            last_seen: HashMap::new(),
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
+            keys: Vec::with_capacity(capacity),
             capacity,
         }
     }
 
-    fn key(&self, peer: Peer) -> (u64, u64) {
-        (
-            self.counts.get(&peer).copied().unwrap_or(0),
-            self.last_seen.get(&peer).copied().unwrap_or(0),
-        )
+    /// Inserts `peer` with `key` at its sorted position: after every
+    /// member whose key is at least as large.
+    fn insert_sorted(&mut self, peer: Peer, key: (u64, u64)) {
+        let pos = self
+            .keys
+            .iter()
+            .position(|&k| k < key)
+            .unwrap_or(self.keys.len());
+        self.list.insert(pos, peer);
+        self.keys.insert(pos, key);
+    }
+
+    /// Takes `peer` out of the list, returning its position.
+    fn take(&mut self, peer: Peer) -> Option<usize> {
+        let pos = self.list.iter().position(|&p| p == peer)?;
+        self.list.remove(pos);
+        self.keys.remove(pos);
+        Some(pos)
     }
 
     /// The staleness reaction: a timed-out neighbour is *probed*, not
@@ -230,21 +239,13 @@ impl History {
     /// so it must re-earn its rank but its history is not erased.
     /// Returns whether the peer was a list member.
     pub fn demote(&mut self, peer: Peer) -> bool {
-        if !self.members.contains(&peer) {
+        if self.take(peer).is_none() {
             return false;
         }
-        let pos = self.list.iter().position(|&p| p == peer).expect("member");
-        self.list.remove(pos);
-        if let Some(count) = self.counts.get_mut(&peer) {
-            *count /= 2;
-        }
-        let key = self.key(peer);
-        let pos = self
-            .list
-            .iter()
-            .position(|&p| self.key(p) < key)
-            .unwrap_or(self.list.len());
-        self.list.insert(pos, peer);
+        let stats = self.stats.get_mut(&peer).expect("members have stats");
+        stats.0 /= 2;
+        let key = *stats;
+        self.insert_sorted(peer, key);
         true
     }
 
@@ -256,13 +257,10 @@ impl History {
     /// otherwise its inflated counter would re-admit it on the very
     /// next hijacked record. Returns whether the peer was a member.
     pub fn remove(&mut self, peer: Peer) -> bool {
-        if !self.members.remove(&peer) {
+        if self.take(peer).is_none() {
             return false;
         }
-        let pos = self.list.iter().position(|&p| p == peer).expect("member");
-        self.list.remove(pos);
-        self.counts.remove(&peer);
-        self.last_seen.remove(&peer);
+        self.stats.remove(&peer);
         true
     }
 
@@ -270,11 +268,10 @@ impl History {
     /// (capacity)`, keeping the allocations (see [`Lru::reset`]).
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "neighbour list capacity must be positive");
-        self.counts.clear();
+        self.stats.clear();
         self.clock = 0;
-        self.last_seen.clear();
         self.list.clear();
-        self.members.clear();
+        self.keys.clear();
         self.capacity = capacity;
     }
 
@@ -284,38 +281,24 @@ impl History {
     /// newcomer is rejected — rejection only skips the *list* change.
     pub fn record_upload_delta(&mut self, uploader: Peer) -> (Option<Peer>, Option<Peer>) {
         self.clock += 1;
-        *self.counts.entry(uploader).or_insert(0) += 1;
-        self.last_seen.insert(uploader, self.clock);
+        let stats = self.stats.entry(uploader).or_insert((0, 0));
+        stats.0 += 1;
+        stats.1 = self.clock;
+        let key = *stats;
         let mut delta = (None, None);
-        if self.members.contains(&uploader) {
-            // Re-sort its position upward.
-            let pos = self
-                .list
-                .iter()
-                .position(|&p| p == uploader)
-                .expect("member");
-            self.list.remove(pos);
+        if self.take(uploader).is_some() {
+            // A member: re-sorted upward below.
         } else if self.list.len() == self.capacity {
             // Replace the tail only if the newcomer now outranks it.
-            let tail = *self.list.last().expect("at capacity > 0");
-            if self.key(uploader) <= self.key(tail) {
+            if key <= *self.keys.last().expect("at capacity > 0") {
                 return delta;
             }
-            self.list.pop();
-            self.members.remove(&tail);
-            self.members.insert(uploader);
-            delta = (Some(uploader), Some(tail));
+            self.keys.pop();
+            delta = (Some(uploader), self.list.pop());
         } else {
-            self.members.insert(uploader);
             delta = (Some(uploader), None);
         }
-        let key = self.key(uploader);
-        let pos = self
-            .list
-            .iter()
-            .position(|&p| self.key(p) < key)
-            .unwrap_or(self.list.len());
-        self.list.insert(pos, uploader);
+        self.insert_sorted(uploader, key);
         delta
     }
 }
@@ -327,10 +310,6 @@ impl NeighbourPolicy for History {
 
     fn neighbours(&self) -> &[Peer] {
         &self.list
-    }
-
-    fn contains(&self, peer: Peer) -> bool {
-        self.members.contains(&peer)
     }
 
     fn capacity(&self) -> usize {
@@ -345,7 +324,6 @@ impl NeighbourPolicy for History {
 #[derive(Clone, Debug)]
 pub struct RandomList {
     list: Vec<Peer>,
-    members: HashSet<Peer>,
     owner: Peer,
     capacity: usize,
 }
@@ -361,7 +339,6 @@ impl RandomList {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         let mut fresh = RandomList {
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
             owner,
             capacity,
         };
@@ -382,7 +359,6 @@ impl RandomList {
     ) {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         self.list.clear();
-        self.members.clear();
         self.owner = owner;
         self.capacity = capacity;
         // Rejection sampling; candidate pools are far larger than lists
@@ -393,7 +369,7 @@ impl RandomList {
         {
             guard += 1;
             let pick = candidates[rng.gen_range(0..candidates.len())];
-            if pick != owner && self.members.insert(pick) {
+            if pick != owner && !self.list.contains(&pick) {
                 self.list.push(pick);
             }
         }
@@ -405,14 +381,12 @@ impl RandomList {
     /// Returns what happened; `replacement` is ignored unless the stale
     /// entry was actually a member.
     pub fn replace_stale(&mut self, stale: Peer, replacement: Option<Peer>) -> StaleReaction {
-        if !self.members.remove(&stale) {
+        let Some(pos) = self.list.iter().position(|&p| p == stale) else {
             return StaleReaction::Kept;
-        }
-        let pos = self.list.iter().position(|&p| p == stale).expect("member");
+        };
         self.list.remove(pos);
         match replacement {
-            Some(r) if r != self.owner && !self.members.contains(&r) => {
-                self.members.insert(r);
+            Some(r) if r != self.owner && !self.list.contains(&r) => {
                 self.list.push(r);
                 StaleReaction::Replaced
             }
@@ -426,10 +400,6 @@ impl NeighbourPolicy for RandomList {
 
     fn neighbours(&self) -> &[Peer] {
         &self.list
-    }
-
-    fn contains(&self, peer: Peer) -> bool {
-        self.members.contains(&peer)
     }
 
     fn capacity(&self) -> usize {
@@ -514,10 +484,6 @@ impl NeighbourPolicy for RareLru {
 
     fn neighbours(&self) -> &[Peer] {
         self.inner.neighbours()
-    }
-
-    fn contains(&self, peer: Peer) -> bool {
-        self.inner.contains(peer)
     }
 
     fn capacity(&self) -> usize {
@@ -758,15 +724,6 @@ impl NeighbourPolicy for AnyPolicy {
         }
     }
 
-    fn contains(&self, peer: Peer) -> bool {
-        match self {
-            AnyPolicy::Lru(p) => p.contains(peer),
-            AnyPolicy::History(p) => p.contains(peer),
-            AnyPolicy::Random(p) => p.contains(peer),
-            AnyPolicy::RareLru(p) => p.contains(peer),
-        }
-    }
-
     fn capacity(&self) -> usize {
         match self {
             AnyPolicy::Lru(p) => p.capacity(),
@@ -900,6 +857,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn check_invariants(p: &impl NeighbourPolicy) {
         let list = p.neighbours();
@@ -1309,5 +1267,79 @@ mod tests {
         assert!(!book.suspect(4));
         book.redeem(4);
         assert!(!book.suspect(4), "post-redemption capture starts fresh");
+    }
+
+    /// One list mutation of the property below.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Record(Peer, u32),
+        Stale(Peer, Option<Peer>),
+        Expel(Peer, Option<Peer>),
+    }
+
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let peer = 0u32..24;
+        prop_oneof![
+            (peer.clone(), 0u32..6).prop_map(|(p, s)| Op::Record(p, s)),
+            (peer.clone(), 0u32..24, any::<bool>())
+                .prop_map(|(p, r, some)| Op::Stale(p, some.then_some(r))),
+            (peer, 0u32..24, any::<bool>())
+                .prop_map(|(p, r, some)| Op::Expel(p, some.then_some(r))),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Without a membership set beside the list, the list itself is
+        /// the membership: after any mix of records, staleness
+        /// reactions (evict / demote / replace) and expulsions, every
+        /// policy holds distinct peers within capacity, `contains`
+        /// agrees with the list for every peer, and History's sort keys
+        /// stay parallel to its list and descending.
+        #[test]
+        fn lists_stay_distinct_and_contains_agrees(
+            ops in proptest::collection::vec(op(), 0..80),
+            cap in 1usize..7,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let candidates: Vec<Peer> = (0..24).collect();
+            let kinds = [
+                PolicyKind::Lru,
+                PolicyKind::History,
+                PolicyKind::Random,
+                PolicyKind::RareLru { max_sources: 3 },
+            ];
+            for kind in kinds {
+                let mut policy = AnyPolicy::new(kind, cap, 0, &candidates, &mut rng);
+                for &op in &ops {
+                    match op {
+                        Op::Record(p, sources) => {
+                            policy.record_upload_with_popularity_delta(p, sources);
+                        }
+                        Op::Stale(p, r) => {
+                            policy.handle_stale(p, r);
+                        }
+                        Op::Expel(p, r) => {
+                            policy.expel(p, r);
+                        }
+                    }
+                    let list = policy.neighbours();
+                    proptest::prop_assert!(list.len() <= cap);
+                    let set: HashSet<Peer> = list.iter().copied().collect();
+                    proptest::prop_assert_eq!(set.len(), list.len(), "{:?}", kind);
+                    for p in 0..24 {
+                        proptest::prop_assert_eq!(policy.contains(p), set.contains(&p));
+                    }
+                    if let AnyPolicy::History(h) = &policy {
+                        proptest::prop_assert_eq!(h.keys.len(), h.list.len());
+                        for (p, key) in h.list.iter().zip(&h.keys) {
+                            proptest::prop_assert_eq!(Some(key), h.stats.get(p));
+                        }
+                        proptest::prop_assert!(h.keys.windows(2).all(|w| w[0] >= w[1]));
+                    }
+                }
+            }
+        }
     }
 }

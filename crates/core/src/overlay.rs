@@ -17,6 +17,7 @@
 
 use edonkey_trace::compact::RowBits;
 use edonkey_trace::model::FileRef;
+use edonkey_workload::churn::days_covering;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -170,13 +171,20 @@ pub fn simulate_overlay_health(
         })
         .collect();
 
-    let schedule = ChurnSchedule::new(config.availability.churn.clone());
-    let quiet = schedule.is_quiet();
+    // Day `offset` of the history runs over `[offset, offset + 1)`
+    // days, and a retry can carry an attempt past the last one.
     let query = config.availability.query;
+    let last_md = (days.len() as u64 * 1000 - 1).saturating_add(query.backoff_total());
+    let schedule = ChurnSchedule::new(
+        config.availability.churn.clone(),
+        n_peers,
+        days_covering(last_md),
+    );
+    let quiet = schedule.is_quiet();
     // Final misses route through the index backend; SingleServer is the
     // byte-identical pre-trait path (outage check + zero-cost resolve).
     let router = config.availability.backend.router(config.seed);
-    let plan = AdversaryPlan::new(config.availability.adversary.clone());
+    let plan = AdversaryPlan::new(config.availability.adversary.clone(), n_peers);
     let adv_quiet = plan.is_quiet();
     let defend = config.availability.reputation && !adv_quiet;
     let exposure = config.availability.backend.pollution_exposure();
@@ -192,7 +200,7 @@ pub fn simulate_overlay_health(
     // Per-request consecutive-timeout streaks (see `SimScratch`).
     let mut stale_prev: Vec<(Peer, u32)> = Vec::new();
     let mut stale_cur: Vec<(Peer, u32)> = Vec::new();
-    // Reused bitset for the popular-file membership probe.
+    // Reused bitset for the membership probe.
     let mut member_bits = RowBits::new();
     member_bits.ensure(n_peers);
 
@@ -327,29 +335,18 @@ pub fn simulate_overlay_health(
                     std::mem::swap(&mut stale_prev, &mut stale_cur);
                 }
 
-                // Membership probe over the *post-staleness* list. For
-                // popular files the list is stamped into a word-level
-                // bitset once and each source probes a single bit; rare
-                // files keep the direct membership test. The scan order
-                // is the same either way, so the answer is too.
-                let policy = &policies[peer as usize];
-                let uploader = if sources.len() * 4 >= policy.neighbours().len() {
-                    member_bits.clear();
-                    for &m in policy.neighbours() {
-                        member_bits.insert(m);
-                    }
-                    sources.iter().copied().find(|&s| {
-                        member_bits.contains(s)
-                            && (quiet || !schedule.offline(s, day, milli))
-                            && (adv_quiet || !plan.answers_nothing(s))
-                    })
-                } else {
-                    sources.iter().copied().find(|&s| {
-                        policy.contains(s)
-                            && (quiet || !schedule.offline(s, day, milli))
-                            && (adv_quiet || !plan.answers_nothing(s))
-                    })
-                };
+                // Membership probe over the *post-staleness* list: the
+                // list is stamped into a word-level bitset once and each
+                // source probes a single bit, O(list + sources).
+                member_bits.clear();
+                for &m in policies[peer as usize].neighbours() {
+                    member_bits.insert(m);
+                }
+                let uploader = sources.iter().copied().find(|&s| {
+                    member_bits.contains(s)
+                        && (quiet || !schedule.offline(s, day, milli))
+                        && (adv_quiet || !plan.answers_nothing(s))
+                });
 
                 if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
                     break (uploader, day, milli);
@@ -397,13 +394,13 @@ pub fn simulate_overlay_health(
                 let mut polluted = false;
                 let mut hijacked = false;
                 if fell_back {
-                    if let Some(pol) = plan.polluter(file.index() as u64, exposure, n_peers) {
+                    if let Some(pol) = plan.polluter(file.index() as u64, exposure) {
                         recorded = pol;
                         polluted = true;
                     }
                 }
                 if !polluted {
-                    if let Some(syb) = plan.hijacker(peer, acq_no, n_peers) {
+                    if let Some(syb) = plan.hijacker(peer, acq_no) {
                         recorded = syb;
                         hijacked = true;
                     }

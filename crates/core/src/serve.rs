@@ -52,9 +52,9 @@ use std::sync::Mutex;
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
-use edonkey_workload::churn::ChurnSchedule;
+use edonkey_workload::churn::{days_covering, ChurnSchedule};
 
-use crate::index::{IndexRoute, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
+use crate::index::{IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
 use crate::neighbours::{
     AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
 };
@@ -134,6 +134,24 @@ impl ServeConfig {
         self.queue_capacity = queue_capacity;
         self.service_per_tick = service_per_tick;
         self
+    }
+
+    /// The churn schedule of a replay of `requests` queries over
+    /// `n_peers` peers. Its horizon covers the latest instant a
+    /// service clock can reach: the last batch instant, plus the
+    /// arrival jitter, plus the longest queue wait (a query waits
+    /// behind at most `min(queue_capacity, requests)` others, served
+    /// `service_per_tick` a tick), plus the whole retry backoff.
+    fn schedule(&self, n_peers: usize, requests: u64) -> ChurnSchedule {
+        let availability = &self.sim.availability;
+        let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
+        let queued = (self.queue_capacity.max(1) as u64).min(requests.max(1));
+        let wait_ticks = queued.div_ceil(self.service_per_tick.max(1) as u64);
+        let last_md = (span_millis - 1)
+            .saturating_add(u64::from(self.arrival.jitter_md))
+            .saturating_add(wait_ticks.saturating_mul(self.tick_md.max(1)))
+            .saturating_add(availability.query.backoff_total());
+        ChurnSchedule::new(availability.churn.clone(), n_peers, days_covering(last_md))
     }
 
     /// Panics unless the cell is servable (no two-hop, no outages).
@@ -530,6 +548,10 @@ pub fn serve_arena_threads(
             &mut rng,
         ));
     }
+    // The cell's draws, built once and read by every shard.
+    let schedule = config.schedule(n_peers, pre.requests);
+    let plan = AdversaryPlan::new(sim.availability.adversary.clone(), n_peers);
+    let router = sim.availability.backend.router(sim.seed);
     let ranges = pre.peer_ranges(config.n_shards.max(1));
     let mut partitions: Vec<Vec<AnyPolicy>> = Vec::with_capacity(ranges.len());
     for &(lo, _) in ranges.iter().rev() {
@@ -561,6 +583,7 @@ pub fn serve_arena_threads(
                 arena,
                 &pre,
                 config,
+                (&schedule, &plan, &router),
                 &sharer_pool,
                 *shard,
                 *range,
@@ -617,6 +640,7 @@ fn run_shard(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &ServeConfig,
+    (schedule, plan, router): (&ChurnSchedule, &AdversaryPlan, &IndexRouter),
     sharer_pool: &[Peer],
     shard: usize,
     (lo, hi): (u32, u32),
@@ -657,14 +681,11 @@ fn run_shard(
         lists: Vec::new(),
     };
     let quiet = sim.availability.is_quiet();
-    let schedule = ChurnSchedule::new(sim.availability.churn.clone());
-    let router = sim.availability.backend.router(sim.seed);
-    let plan = AdversaryPlan::new(sim.availability.adversary.clone());
     let adv = AdversaryCtx {
         quiet: plan.is_quiet(),
         defend: sim.availability.reputation && !plan.is_quiet(),
         exposure: sim.availability.backend.pollution_exposure(),
-        plan: &plan,
+        plan,
     };
     // Reputation books are querier-local (like the policies), so the
     // shard partition carries the whole defense state.
@@ -717,8 +738,8 @@ fn run_shard(
                 serve_query_quiet(
                     arena,
                     pre,
-                    &schedule,
-                    &router,
+                    schedule,
+                    router,
                     &arrival,
                     service_md,
                     policy,
@@ -734,8 +755,8 @@ fn run_shard(
                 serve_query_churn(
                     pre,
                     sim,
-                    &schedule,
-                    &router,
+                    schedule,
+                    router,
                     sharer_pool,
                     &arrival,
                     service_md,
@@ -775,7 +796,7 @@ fn serve_query_quiet(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     schedule: &ChurnSchedule,
-    router: &crate::index::IndexRouter,
+    router: &IndexRouter,
     arrival: &Arrival,
     service_md: u64,
     policy: &mut AnyPolicy,
@@ -861,7 +882,7 @@ fn serve_query_churn(
     pre: &SweepPrecomp,
     sim: &SimConfig,
     schedule: &ChurnSchedule,
-    router: &crate::index::IndexRouter,
+    router: &IndexRouter,
     sharer_pool: &[Peer],
     arrival: &Arrival,
     service_md: u64,
@@ -982,7 +1003,6 @@ fn serve_query_churn(
             out.health.search.answered += 1;
             record_after_walk(
                 adv,
-                pre.n_peers,
                 arrival.querier,
                 rec,
                 u,
@@ -1002,7 +1022,6 @@ fn serve_query_churn(
             let pick = prefix[fallback_index(pre.seed, u64::from(rec.t), r)];
             record_after_walk(
                 adv,
-                pre.n_peers,
                 arrival.querier,
                 rec,
                 pick,
@@ -1026,7 +1045,6 @@ fn serve_query_churn(
 #[allow(clippy::too_many_arguments)]
 fn record_after_walk(
     adv: &AdversaryCtx,
-    n_peers: usize,
     querier: u32,
     rec: QueryRec,
     uploader: Peer,
@@ -1043,16 +1061,13 @@ fn record_after_walk(
     let mut polluted = false;
     let mut hijacked = false;
     if fell_back {
-        if let Some(pol) = adv
-            .plan
-            .polluter(rec.file.index() as u64, adv.exposure, n_peers)
-        {
+        if let Some(pol) = adv.plan.polluter(rec.file.index() as u64, adv.exposure) {
             recorded = pol;
             polluted = true;
         }
     }
     if !polluted {
-        if let Some(syb) = adv.plan.hijacker(querier, u64::from(rec.t), n_peers) {
+        if let Some(syb) = adv.plan.hijacker(querier, u64::from(rec.t)) {
             recorded = syb;
             hijacked = true;
         }

@@ -33,9 +33,10 @@
 //! pre-availability simulator ([`simulate_reference`] is the pinned
 //! oracle).
 
-use edonkey_trace::compact::{CacheArena, RowBits};
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
 pub use edonkey_workload::adversary::{AdversaryConfig, AdversaryPlan};
+use edonkey_workload::churn::days_covering;
 pub use edonkey_workload::churn::{ChurnConfig, ChurnSchedule, QueryPolicy};
 use edonkey_workload::mix::splitmix64;
 use rand::rngs::StdRng;
@@ -149,6 +150,15 @@ impl AvailabilityConfig {
     /// True iff the availability layer cannot affect the simulation.
     pub fn is_quiet(&self) -> bool {
         self.churn.is_quiet() && self.adversary.is_quiet()
+    }
+
+    /// The churn schedule of a batch run over `n_peers` peers. Its
+    /// horizon covers the last first attempt (`virtual_days` in) plus
+    /// the policy's whole retry backoff (DESIGN.md §7).
+    pub fn schedule(&self, n_peers: usize) -> ChurnSchedule {
+        let span_millis = u64::from(self.virtual_days.max(1)) * 1000;
+        let last_md = (span_millis - 1).saturating_add(self.query.backoff_total());
+        ChurnSchedule::new(self.churn.clone(), n_peers, days_covering(last_md))
     }
 }
 
@@ -503,14 +513,13 @@ pub fn simulate_arena(arena: &CacheArena, config: &SimConfig) -> SimResult {
 #[derive(Debug, Default)]
 pub struct SimScratch {
     stream: Vec<(u32, FileRef)>,
-    /// Arrival-ordered sharers per file, flat CSR: `sharer_heads` holds
-    /// row offsets into `sharer_flat`, `sharer_len` the live widths.
-    /// Every replica in the stream eventually lands in its file's row,
-    /// so the final row widths are the per-file replica counts — known
-    /// before the run starts. Three pooled buffers replace one heap
-    /// `Vec` per shared file.
-    sharer_heads: Vec<u32>,
-    sharer_len: Vec<u32>,
+    /// Arrival-ordered sharers per file, flat CSR: `sharer_rows[f]` is
+    /// file `f`'s `(row offset into sharer_flat, live width)`, one load
+    /// per request. Every replica in the stream eventually lands in its
+    /// file's row, so the final row widths are the per-file replica
+    /// counts — known before the run starts. Two pooled buffers replace
+    /// one heap `Vec` per shared file.
+    sharer_rows: Vec<(u32, u32)>,
     sharer_flat: Vec<Peer>,
     /// `mark[p] == generation` ⇔ peer `p` is an *online, queried*
     /// neighbour of the current requester. Stale entries are
@@ -531,8 +540,12 @@ pub struct SimScratch {
     policies: Vec<AnyPolicy>,
     /// Pooled candidate pool (the non-free-riders) for random lists.
     sharer_pool: Vec<Peer>,
-    /// Pooled relay-list bitset for the two-hop probe.
-    relay_bits: RowBits,
+    /// Two-hop probe: the requested file's sharers that would answer
+    /// now, in arrival order, and — when there are many of them —
+    /// their ranks: `sharer_at[p] == (generation, i)` ⇔ `p` is
+    /// `answering[i]`.
+    answering: Vec<Peer>,
+    sharer_at: Vec<(u64, u32)>,
 }
 
 impl SimScratch {
@@ -585,8 +598,7 @@ pub fn simulate_arena_health_with_scratch(
 
     let SimScratch {
         stream,
-        sharer_heads,
-        sharer_len,
+        sharer_rows,
         sharer_flat,
         mark,
         generation,
@@ -595,7 +607,8 @@ pub fn simulate_arena_health_with_scratch(
         stale_cur,
         policies,
         sharer_pool,
-        relay_bits,
+        answering,
+        sharer_at,
     } = scratch;
 
     // Sharers (non-free-riders) are the candidate pool for random lists.
@@ -636,19 +649,21 @@ pub fn simulate_arena_health_with_scratch(
             &mut rng,
         ));
     }
-    // CSR sharer table: bucket-count the stream into row offsets, then
-    // prefix-sum. Zeroing the counters is the same O(n_files) cost the
-    // per-file `Vec::clear` walk used to pay, without its allocations.
-    sharer_heads.clear();
-    sharer_heads.resize(n_files + 1, 0);
+    // CSR sharer table: bucket-count the stream into the widths, then
+    // prefix-sum them into row offsets with every width back at zero.
+    // Zeroing the counters is the same O(n_files) cost the per-file
+    // `Vec::clear` walk used to pay, without its allocations.
+    sharer_rows.clear();
+    sharer_rows.resize(n_files, (0, 0));
     for &(_, f) in stream.iter() {
-        sharer_heads[f.index() + 1] += 1;
+        sharer_rows[f.index()].1 += 1;
     }
-    for i in 0..n_files {
-        sharer_heads[i + 1] += sharer_heads[i];
+    let mut offset = 0;
+    for row in sharer_rows.iter_mut() {
+        let width = row.1;
+        *row = (offset, 0);
+        offset += width;
     }
-    sharer_len.clear();
-    sharer_len.resize(n_files, 0);
     sharer_flat.clear();
     sharer_flat.resize(stream.len(), 0);
     if mark.len() < n_peers {
@@ -667,7 +682,7 @@ pub fn simulate_arena_health_with_scratch(
     // Availability: quiet schedules take none of the branches below, so
     // the pre-churn behaviour (and RNG sequence) is preserved exactly.
     let availability = &config.availability;
-    let schedule = ChurnSchedule::new(availability.churn.clone());
+    let schedule = availability.schedule(n_peers);
     let quiet = schedule.is_quiet();
     let query = availability.query;
     // Adversary: a quiet plan takes none of the branches below and
@@ -675,7 +690,7 @@ pub fn simulate_arena_health_with_scratch(
     // never consulted it. The defense books are only allocated (and
     // only consulted) when both the plan and the flag are armed, which
     // is what makes `reputation` mechanically free on honest runs.
-    let plan = AdversaryPlan::new(availability.adversary.clone());
+    let plan = AdversaryPlan::new(availability.adversary.clone(), n_peers);
     let adv_quiet = plan.is_quiet();
     let defend = availability.reputation && !adv_quiet;
     let exposure = availability.backend.pollution_exposure();
@@ -694,13 +709,13 @@ pub fn simulate_arena_health_with_scratch(
 
     for (t, &(peer, file)) in stream.iter().enumerate() {
         let peer_idx = peer as usize;
-        let head = sharer_heads[file.index()] as usize;
-        let f_len = sharer_len[file.index()] as usize;
+        let (head, f_len) = sharer_rows[file.index()];
+        let (head, f_len) = (head as usize, f_len as usize);
         if f_len == 0 {
             // Original contributor.
             result.contributor_seeds += 1;
             sharer_flat[head] = peer;
-            sharer_len[file.index()] = 1;
+            sharer_rows[file.index()].1 = 1;
             continue;
         }
         result.requests += 1;
@@ -799,48 +814,51 @@ pub fn simulate_arena_health_with_scratch(
             let mut hop = 1;
 
             // Two-hop: query each online neighbour's neighbours; the
-            // second-hop holder must itself be online to answer. For
-            // popular files the per-relay membership probes dominate, so
-            // the relay's list is stamped into a word-level bitset once
-            // and the sharers probe single bits; rare files keep the
-            // direct membership test. Either way the scan order — and
-            // therefore the answer — is identical.
+            // second-hop holder must itself be online to answer. The
+            // answer is the first relay (in list order) holding any
+            // answering sharer and, of those, the earliest to arrive.
+            // A few answering sharers are each found in a relay's list
+            // by a vectorised scan; more are stamped once with their
+            // arrival rank and each relay's list is walked once (see
+            // `TWO_HOP_SCAN_MAX`). Either way a relay costs O(list),
+            // never O(list × sharers).
             if uploader.is_none() && config.two_hop {
-                relay_bits.ensure(n_peers);
-                'outer: for &n in query_buf.iter() {
-                    if mark[n as usize] != *generation {
-                        continue; // offline relay: its list is unreachable
+                answering.clear();
+                answering.extend(file_sharers.iter().copied().filter(|&s| {
+                    s != peer
+                        && (quiet || !schedule.offline(s, day, milli))
+                        && (adv_quiet || !plan.answers_nothing(s))
+                }));
+                let relays = query_buf
+                    .iter()
+                    .filter(|&&n| mark[n as usize] == *generation)
+                    .map(|&n| policies[n as usize].neighbours());
+                let found = if answering.len() <= TWO_HOP_SCAN_MAX {
+                    relays
+                        .flat_map(|list| answering.iter().copied().find(|s| list.contains(s)))
+                        .next()
+                } else {
+                    if sharer_at.len() < n_peers {
+                        sharer_at.resize(n_peers, (0, 0));
                     }
-                    let relay = &policies[n as usize];
-                    if file_sharers.len() * 4 >= relay.neighbours().len() {
-                        relay_bits.clear();
-                        for &m in relay.neighbours() {
-                            relay_bits.insert(m);
-                        }
-                        for &s in file_sharers {
-                            if s != peer
-                                && relay_bits.contains(s)
-                                && (quiet || !schedule.offline(s, day, milli))
-                                && (adv_quiet || !plan.answers_nothing(s))
-                            {
-                                uploader = Some(s);
-                                hop = 2;
-                                break 'outer;
-                            }
-                        }
-                    } else {
-                        for &s in file_sharers {
-                            if s != peer
-                                && relay.contains(s)
-                                && (quiet || !schedule.offline(s, day, milli))
-                                && (adv_quiet || !plan.answers_nothing(s))
-                            {
-                                uploader = Some(s);
-                                hop = 2;
-                                break 'outer;
-                            }
-                        }
+                    for (i, &s) in answering.iter().enumerate() {
+                        sharer_at[s as usize] = (*generation, i as u32);
                     }
+                    relays
+                        .flat_map(|list| {
+                            list.iter()
+                                .filter_map(|&m| {
+                                    let (stamp, i) = sharer_at[m as usize];
+                                    (stamp == *generation).then_some(i)
+                                })
+                                .min()
+                        })
+                        .next()
+                        .map(|i| answering[i as usize])
+                };
+                if found.is_some() {
+                    uploader = found;
+                    hop = 2;
                 }
             }
 
@@ -904,13 +922,13 @@ pub fn simulate_arena_health_with_scratch(
             let mut polluted = false;
             let mut hijacked = false;
             if fell_back {
-                if let Some(pol) = plan.polluter(file.index() as u64, exposure, n_peers) {
+                if let Some(pol) = plan.polluter(file.index() as u64, exposure) {
                     recorded = pol;
                     polluted = true;
                 }
             }
             if !polluted {
-                if let Some(syb) = plan.hijacker(peer, t as u64, n_peers) {
+                if let Some(syb) = plan.hijacker(peer, t as u64) {
                     recorded = syb;
                     hijacked = true;
                 }
@@ -961,11 +979,23 @@ pub fn simulate_arena_health_with_scratch(
             }
         }
         sharer_flat[head + f_len] = peer;
-        sharer_len[file.index()] += 1;
+        sharer_rows[file.index()].1 += 1;
     }
 
     (result, health)
 }
+
+/// Up to this many answering sharers, the two-hop probe scans each
+/// relay's list once per sharer; beyond, it stamps the sharers' ranks
+/// and walks each list once. A contiguous scan for one id is several
+/// times cheaper per entry than the walk's random rank lookups, so few
+/// sharers favour the scan; the walk bounds a relay at O(list) however
+/// many sharers a popular file has. Measured at repro scale on a
+/// 2-core x86_64 VM, 10 alternating rounds: the scan side made the
+/// Fig. 23 two-hop LRU sweep (sizes 5–200) ≈16% faster than always
+/// walking (10/10) and the `search_repro` two-hop LRU-20 cell ≈22%
+/// faster (8/10); cuts of 2, 8 and 32 ran alike.
+const TWO_HOP_SCAN_MAX: usize = 8;
 
 /// The original (pre-arena) implementation, kept structurally intact as
 /// a correctness oracle: `deterministic_under_seed`, the property tests
@@ -1626,6 +1656,10 @@ impl CellPartial {
 /// concatenation of any partition's partials is bit-identical to the
 /// sequential run — the property the sweep determinism tests pin down.
 ///
+/// `schedule` is the cell's churn schedule
+/// ([`AvailabilityConfig::schedule`] over the arena's peers), built once
+/// per cell and shared by every range of it.
+///
 /// `profile` additionally meters the hit-check and update stages into
 /// the partial (off the sweeps' timed path; the metered run is a
 /// separate pass).
@@ -1633,6 +1667,7 @@ pub fn simulate_cell_range(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &SimConfig,
+    schedule: &ChurnSchedule,
     peers: (u32, u32),
     scratch: &mut SplitScratch,
     profile: bool,
@@ -1657,7 +1692,7 @@ pub fn simulate_cell_range(
         if quiet {
             simulate_querier_quiet(arena, pre, config, requests, scratch, profile, &mut part);
         } else {
-            simulate_querier_churn(pre, config, requests, scratch, profile, &mut part);
+            simulate_querier_churn(pre, config, schedule, requests, scratch, profile, &mut part);
         }
     }
     part
@@ -1800,6 +1835,7 @@ fn simulate_querier_quiet(
 fn simulate_querier_churn(
     pre: &SweepPrecomp,
     config: &SimConfig,
+    schedule: &ChurnSchedule,
     requests: &[QueryRec],
     scratch: &mut SplitScratch,
     profile: bool,
@@ -1810,7 +1846,6 @@ fn simulate_querier_churn(
         scratch.mark.resize(pre.n_peers, 0);
     }
     let availability = &config.availability;
-    let schedule = ChurnSchedule::new(availability.churn.clone());
     let query = availability.query;
     let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
     let stream_len = pre.stream.len().max(1) as u64;

@@ -16,7 +16,9 @@
 //!   rate-independent hash, so raising one kind's permille only widens
 //!   that kind's band in place: the attacker set at a lower fraction
 //!   is a strict subset of the set at any higher fraction, and
-//!   degradation is mechanically monotone per attack kind.
+//!   degradation is mechanically monotone per attack kind. Roles are
+//!   fixed per peer, so the plan draws each peer's role once, at
+//!   construction, into a per-peer table (DESIGN.md §7).
 //! * Three attack behaviours, matched to where they bite:
 //!   - **Sybils** hold neighbour-list slots. A sybil impersonates the
 //!     genuine uploader of an acquisition ([`AdversaryPlan::hijacker`])
@@ -139,16 +141,27 @@ const SALT_POLLUTE: u64 = 0xad5e_77a9_1b3c_0003;
 
 use crate::mix::splitmix64 as mix;
 
-/// The stateless adversary oracle built from an [`AdversaryConfig`].
+/// The adversary oracle built from an [`AdversaryConfig`] for peers
+/// `0..n_peers`.
 #[derive(Clone, Debug)]
 pub struct AdversaryPlan {
     config: AdversaryConfig,
+    /// `roles[peer]`, drawn once from [`AdversaryPlan::draw_role`].
+    /// Empty for a quiet plan, where every peer is honest.
+    roles: Vec<Role>,
 }
 
 impl AdversaryPlan {
-    /// Wraps a config; no precomputation, the plan is pure hashing.
-    pub fn new(config: AdversaryConfig) -> Self {
-        AdversaryPlan { config }
+    /// Draws every peer's role once (nothing for a quiet plan).
+    pub fn new(config: AdversaryConfig, n_peers: usize) -> Self {
+        let mut plan = AdversaryPlan {
+            config,
+            roles: Vec::new(),
+        };
+        if !plan.is_quiet() {
+            plan.roles = (0..n_peers as u32).map(|p| plan.draw_role(p)).collect();
+        }
+        plan
     }
 
     /// The wrapped config.
@@ -170,12 +183,13 @@ impl AdversaryPlan {
         h
     }
 
-    /// The role `peer` plays. The underlying hash is
-    /// fraction-independent; the permilles only partition `[0, 1000)`
-    /// into bands `[sybil | polluter | free-rider | honest]`, so
-    /// raising one kind's permille (others fixed) widens that band in
-    /// place and the kind's peer set nests across fractions.
-    pub fn role(&self, peer: u32) -> Role {
+    /// The role hash — the definition the table is filled from. The
+    /// underlying hash is fraction-independent; the permilles only
+    /// partition `[0, 1000)` into bands
+    /// `[sybil | polluter | free-rider | honest]`, so raising one
+    /// kind's permille (others fixed) widens that band in place and
+    /// the kind's peer set nests across fractions.
+    fn draw_role(&self, peer: u32) -> Role {
         let c = &self.config;
         if c.is_quiet() {
             return Role::Honest;
@@ -196,6 +210,20 @@ impl AdversaryPlan {
         }
     }
 
+    /// The role `peer` plays, read from the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is not quiet and `peer` is outside the
+    /// population it was built for.
+    #[inline]
+    pub fn role(&self, peer: u32) -> Role {
+        if self.roles.is_empty() {
+            return Role::Honest;
+        }
+        self.roles[peer as usize]
+    }
+
     /// Does `peer` refuse to answer overlay queries? True for every
     /// adversarial role: sybils and polluters hold slots without
     /// serving, free-riders by definition. The refusal is *not* a
@@ -205,10 +233,12 @@ impl AdversaryPlan {
     }
 
     /// The sybil (if any) that hijacks `querier`'s acquisition at
-    /// stream position `t`: one stateless candidate draw, a capture
+    /// stream position `t`: one stateless candidate draw over the
+    /// plan's population, a capture
     /// exactly when the candidate plays sybil. The capture probability
     /// therefore tracks `sybil_permille` mechanically.
-    pub fn hijacker(&self, querier: u32, t: u64, n_peers: usize) -> Option<u32> {
+    pub fn hijacker(&self, querier: u32, t: u64) -> Option<u32> {
+        let n_peers = self.roles.len();
         if self.config.sybil_permille == 0 || n_peers == 0 {
             return None;
         }
@@ -221,7 +251,8 @@ impl AdversaryPlan {
     /// poisoned record. Each replica is one independent candidate
     /// draw; the first polluting candidate wins. More replicas mean
     /// more draws — replication amplifies pollution.
-    pub fn polluter(&self, file: u64, exposure: u32, n_peers: usize) -> Option<u32> {
+    pub fn polluter(&self, file: u64, exposure: u32) -> Option<u32> {
+        let n_peers = self.roles.len();
         if self.config.polluter_permille == 0 || n_peers == 0 {
             return None;
         }
@@ -237,7 +268,8 @@ impl AdversaryPlan {
     /// The sybil census capture: every peer playing sybil adopts a
     /// copy of the population's largest cache, advertising the most
     /// popular catalogue to maximise slot capture. A quiet plan is a
-    /// no-op by construction (nobody plays sybil).
+    /// no-op by construction (nobody plays sybil). `caches` is indexed
+    /// by peer and must not outnumber the plan's population.
     pub fn rewrite_caches<T: Clone>(&self, caches: &mut [Vec<T>]) {
         if self.config.sybil_permille == 0 {
             return;
@@ -264,21 +296,21 @@ mod tests {
 
     #[test]
     fn quiet_plan_never_marks_anyone() {
-        let p = AdversaryPlan::new(AdversaryConfig::none());
+        let p = AdversaryPlan::new(AdversaryConfig::none(), 100);
         assert!(p.is_quiet());
         for peer in 0..100 {
             assert_eq!(p.role(peer), Role::Honest);
             assert!(!p.answers_nothing(peer));
         }
-        assert_eq!(p.hijacker(3, 7, 100), None);
-        assert_eq!(p.polluter(3, 8, 100), None);
+        assert_eq!(p.hijacker(3, 7), None);
+        assert_eq!(p.polluter(3, 8), None);
     }
 
     #[test]
     fn draws_are_deterministic_and_seed_sensitive() {
-        let a = AdversaryPlan::new(AdversaryConfig::sybils(7, 200));
-        let b = AdversaryPlan::new(AdversaryConfig::sybils(7, 200));
-        let c = AdversaryPlan::new(AdversaryConfig::sybils(8, 200));
+        let a = AdversaryPlan::new(AdversaryConfig::sybils(7, 200), 500);
+        let b = AdversaryPlan::new(AdversaryConfig::sybils(7, 200), 500);
+        let c = AdversaryPlan::new(AdversaryConfig::sybils(8, 200), 500);
         let mut differs = false;
         for peer in 0..500 {
             assert_eq!(a.role(peer), b.role(peer));
@@ -306,8 +338,8 @@ mod tests {
                 AdversaryConfig::freeriders(42, 400),
             ),
         ] {
-            let lo = AdversaryPlan::new(lo);
-            let hi = AdversaryPlan::new(hi);
+            let lo = AdversaryPlan::new(lo, 1000);
+            let hi = AdversaryPlan::new(hi, 1000);
             for peer in 0..1000 {
                 if lo.role(peer) != Role::Honest {
                     assert_eq!(lo.role(peer), hi.role(peer));
@@ -322,6 +354,7 @@ mod tests {
             AdversaryConfig::sybils(3, 100)
                 .with_polluters(150)
                 .with_freeriders(250),
+            4000,
         );
         let mut counts = [0u64; 4];
         let total = 4000u64;
@@ -346,16 +379,37 @@ mod tests {
     }
 
     #[test]
+    fn role_table_matches_the_hash() {
+        let config = AdversaryConfig::sybils(21, 100)
+            .with_polluters(150)
+            .with_freeriders(250);
+        let p = AdversaryPlan::new(config, 3000);
+        for peer in 0..3000 {
+            assert_eq!(p.role(peer), p.draw_role(peer));
+            assert_eq!(p.answers_nothing(peer), p.draw_role(peer) != Role::Honest);
+        }
+        let quiet = AdversaryPlan::new(AdversaryConfig::none(), 3000);
+        assert!((0..3000).all(|peer| quiet.role(peer) == quiet.draw_role(peer)));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_peer_outside_the_population_panics() {
+        let p = AdversaryPlan::new(AdversaryConfig::sybils(21, 100), 10);
+        p.role(10);
+    }
+
+    #[test]
     fn hijacker_and_polluter_respect_roles() {
-        let p = AdversaryPlan::new(AdversaryConfig::sybils(11, 300).with_polluters(300));
+        let p = AdversaryPlan::new(AdversaryConfig::sybils(11, 300).with_polluters(300), 200);
         let mut hijacks = 0;
         let mut pollutions = 0;
         for t in 0..400u64 {
-            if let Some(s) = p.hijacker(5, t, 200) {
+            if let Some(s) = p.hijacker(5, t) {
                 assert_eq!(p.role(s), Role::Sybil);
                 hijacks += 1;
             }
-            if let Some(s) = p.polluter(t, 2, 200) {
+            if let Some(s) = p.polluter(t, 2) {
                 assert_eq!(p.role(s), Role::Polluter);
                 pollutions += 1;
             }
@@ -363,27 +417,27 @@ mod tests {
         assert!(hijacks > 0, "a 30% sybil plan must capture something");
         assert!(pollutions > 0, "a 30% polluter plan must poison something");
         // Stateless: the same keys always land the same answers.
-        assert_eq!(p.hijacker(5, 9, 200), p.hijacker(5, 9, 200));
-        assert_eq!(p.polluter(9, 2, 200), p.polluter(9, 2, 200));
+        assert_eq!(p.hijacker(5, 9), p.hijacker(5, 9));
+        assert_eq!(p.polluter(9, 2), p.polluter(9, 2));
     }
 
     #[test]
     fn pollution_grows_with_exposure() {
         // More index replicas mean more candidate draws: the polluted
         // set at exposure k is a subset of the set at exposure k' > k.
-        let p = AdversaryPlan::new(AdversaryConfig::polluters(13, 150));
+        let p = AdversaryPlan::new(AdversaryConfig::polluters(13, 150), 300);
         let mut counts = Vec::new();
         for exposure in [1u32, 2, 8] {
             let mut polluted = 0;
             for file in 0..1000u64 {
-                if p.polluter(file, exposure, 300).is_some() {
+                if p.polluter(file, exposure).is_some() {
                     polluted += 1;
                 } else {
                     continue;
                 }
                 // Subset check: polluted at this exposure stays
                 // polluted at every higher one.
-                assert!(p.polluter(file, 8, 300).is_some());
+                assert!(p.polluter(file, 8).is_some());
             }
             counts.push(polluted);
         }
@@ -393,13 +447,13 @@ mod tests {
 
     #[test]
     fn rewrite_caches_clones_the_largest_into_sybils() {
-        let quiet = AdversaryPlan::new(AdversaryConfig::none());
+        let quiet = AdversaryPlan::new(AdversaryConfig::none(), 50);
         let mut caches: Vec<Vec<u32>> = (0..50).map(|p| (0..p).collect()).collect();
         let before = caches.clone();
         quiet.rewrite_caches(&mut caches);
         assert_eq!(caches, before, "a quiet plan never rewrites");
 
-        let p = AdversaryPlan::new(AdversaryConfig::sybils(5, 400));
+        let p = AdversaryPlan::new(AdversaryConfig::sybils(5, 400), 50);
         p.rewrite_caches(&mut caches);
         let bait: Vec<u32> = (0..49).collect();
         let mut rewrote = 0;

@@ -8,13 +8,17 @@
 //! truth the search layer is evaluated against:
 //!
 //! * [`ChurnSchedule`] — a seeded, **stateless** per-peer on/off
-//!   schedule. Every decision is a splitmix64-style hash of
+//!   schedule. Every decision is defined as a splitmix64-style hash of
 //!   `(seed, salt, peer, day)` — no RNG state is consumed, so a quiet
 //!   schedule (`churn_permille == 0`, no outages) leaves a simulation
 //!   byte-identical to one that never consulted it, and the drawn
 //!   offline *window start* is rate-independent, so the offline set at
 //!   a lower churn rate is a strict subset of the set at any higher
-//!   rate: availability degrades mechanically monotonically.
+//!   rate: availability degrades mechanically monotonically. The
+//!   schedule materialises those draws once, for a fixed peer count
+//!   and day horizon, into a day-major table (DESIGN.md §7): the query
+//!   kernels ask "is this neighbour offline?" for every neighbour on
+//!   every attempt, and a table read is a fraction of four hash rounds.
 //! * [`QueryPolicy`] — the querier's reaction to timeouts: an attempt
 //!   budget, exponential backoff in simulated request time, and whether
 //!   stale (timed-out) neighbour entries are evicted/probed.
@@ -67,16 +71,74 @@ const SALT_REPLACE: u64 = 0x5e55_10f4_c4a9_0002;
 
 use crate::mix::splitmix64 as mix;
 
-/// The stateless availability oracle built from a [`ChurnConfig`].
+/// The availability oracle built from a [`ChurnConfig`], materialised
+/// for `n_peers` peers over a horizon of `days` days.
 #[derive(Clone, Debug)]
 pub struct ChurnSchedule {
     config: ChurnConfig,
+    n_peers: usize,
+    days: u32,
+    /// `session_offline_start(peer, day)` at `day * n_peers + peer`.
+    /// Empty when the rate makes `offline` a constant (0 or ≥ 1000).
+    starts: Vec<u16>,
+    /// `outage[day]` ⇔ `day ∈ outage_days`; days past the end are up.
+    outage: Vec<bool>,
+}
+
+/// The largest churn table a schedule builds, in bytes (two per
+/// `(peer, day)`). A repro-scale cell needs ≈640 KB; the cap turns a
+/// policy whose retry backoff runs for years (the horizon grows with
+/// [`QueryPolicy::backoff_total`]) into a clear panic instead of an
+/// allocation abort.
+pub const MAX_TABLE_BYTES: usize = 256 << 20;
+
+/// The number of days a schedule must cover so that every instant in
+/// `[0, last_md]` milli-days falls inside its horizon (saturating: a
+/// constant-rate schedule builds no table, whatever its horizon).
+pub fn days_covering(last_md: u64) -> u32 {
+    u32::try_from(last_md / 1000 + 1).unwrap_or(u32::MAX)
 }
 
 impl ChurnSchedule {
-    /// Wraps a config; no precomputation, the schedule is pure hashing.
-    pub fn new(config: ChurnConfig) -> Self {
-        ChurnSchedule { config }
+    /// Builds the schedule for peers `0..n_peers` on days `0..days`:
+    /// one hash per `(peer, day)` when the rate is fractional, nothing
+    /// otherwise. Asking [`Self::offline`] about a day outside the
+    /// horizon panics — a kernel that does so has under-sized it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fractional rate needs a table larger than
+    /// [`MAX_TABLE_BYTES`].
+    pub fn new(config: ChurnConfig, n_peers: usize, days: u32) -> Self {
+        let mut schedule = ChurnSchedule {
+            config,
+            n_peers,
+            days,
+            starts: Vec::new(),
+            outage: Vec::new(),
+        };
+        if let Some(&last) = schedule.config.outage_days.iter().max() {
+            schedule.outage = vec![false; last as usize + 1];
+            for &day in &schedule.config.outage_days {
+                schedule.outage[day as usize] = true;
+            }
+        }
+        if (1..1000).contains(&schedule.config.churn_permille) {
+            let len = n_peers.saturating_mul(days as usize);
+            assert!(
+                len <= MAX_TABLE_BYTES / 2,
+                "churn table of {n_peers} peers x {days} days exceeds {MAX_TABLE_BYTES} \
+                 bytes; shorten the retry backoff or the simulated span"
+            );
+            schedule.starts.reserve_exact(len);
+            for day in 0..days {
+                for peer in 0..n_peers as u32 {
+                    let start = schedule.session_offline_start(peer, day);
+                    schedule.starts.push(start as u16);
+                }
+            }
+        }
+        schedule
     }
 
     /// The wrapped config.
@@ -101,13 +163,20 @@ impl ChurnSchedule {
     /// Where peer `peer`'s offline window starts on `day`, in
     /// milli-days `[0, 1000)`. **Rate-independent**: the same
     /// `(seed, peer, day)` always yields the same start, so raising
-    /// `churn_permille` only widens every window in place.
+    /// `churn_permille` only widens every window in place. This hash
+    /// is the definition the table is filled from.
     pub fn session_offline_start(&self, peer: u32, day: u32) -> u32 {
         (self.roll(SALT_SESSION, [peer as u64, day as u64, 0]) % 1000) as u32
     }
 
     /// Is `peer` offline at `milli` (`[0, 1000)`) of `day`? The window
     /// is `[start, start + churn_permille)` wrapping within the day.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is past the horizon or `peer` outside the
+    /// population the schedule was built for (fractional rates only).
+    #[inline]
     pub fn offline(&self, peer: u32, day: u32, milli: u32) -> bool {
         let rate = self.config.churn_permille;
         if rate == 0 {
@@ -116,13 +185,20 @@ impl ChurnSchedule {
         if rate >= 1000 {
             return true;
         }
-        let start = self.session_offline_start(peer, day);
+        assert!(
+            day < self.days,
+            "day {day} is past the churn horizon of {} days",
+            self.days
+        );
+        let row = day as usize * self.n_peers;
+        let start = u32::from(self.starts[row..row + self.n_peers][peer as usize]);
         (milli + 1000 - start) % 1000 < rate
     }
 
     /// Is the fallback server unreachable on `day`?
+    #[inline]
     pub fn server_out(&self, day: u32) -> bool {
-        !self.config.outage_days.is_empty() && self.config.outage_days.contains(&day)
+        self.outage.get(day as usize).copied().unwrap_or(false)
     }
 
     /// Deterministic index draw for staleness *replacement* (the Random
@@ -192,6 +268,13 @@ impl QueryPolicy {
         let factor = (self.backoff_factor as u64).saturating_pow(attempt);
         (self.backoff_base as u64).saturating_mul(factor)
     }
+
+    /// The longest a request can run past its first attempt: the sum
+    /// of every retry's backoff. A schedule must cover this much past
+    /// the last first-attempt instant.
+    pub fn backoff_total(&self) -> u64 {
+        (0..self.max_retries).fold(0u64, |sum, a| sum.saturating_add(self.backoff_for(a)))
+    }
 }
 
 impl Default for QueryPolicy {
@@ -206,7 +289,7 @@ mod tests {
 
     #[test]
     fn quiet_schedule_never_says_offline() {
-        let s = ChurnSchedule::new(ChurnConfig::none());
+        let s = ChurnSchedule::new(ChurnConfig::none(), 50, 20);
         assert!(s.is_quiet());
         for peer in 0..50 {
             for day in 0..20 {
@@ -220,9 +303,9 @@ mod tests {
 
     #[test]
     fn draws_are_deterministic_and_seed_sensitive() {
-        let a = ChurnSchedule::new(ChurnConfig::with_rate(7, 250));
-        let b = ChurnSchedule::new(ChurnConfig::with_rate(7, 250));
-        let c = ChurnSchedule::new(ChurnConfig::with_rate(8, 250));
+        let a = ChurnSchedule::new(ChurnConfig::with_rate(7, 250), 200, 10);
+        let b = ChurnSchedule::new(ChurnConfig::with_rate(7, 250), 200, 10);
+        let c = ChurnSchedule::new(ChurnConfig::with_rate(8, 250), 200, 10);
         let mut differs = false;
         for peer in 0..200 {
             for day in 0..10 {
@@ -242,8 +325,8 @@ mod tests {
     fn offline_windows_nest_across_rates() {
         // Same seed, increasing rate: every (peer, day, milli) offline
         // at the lower rate is offline at the higher one.
-        let lo = ChurnSchedule::new(ChurnConfig::with_rate(42, 100));
-        let hi = ChurnSchedule::new(ChurnConfig::with_rate(42, 400));
+        let lo = ChurnSchedule::new(ChurnConfig::with_rate(42, 100), 100, 5);
+        let hi = ChurnSchedule::new(ChurnConfig::with_rate(42, 400), 100, 5);
         for peer in 0..100 {
             for day in 0..5 {
                 for milli in (0..1000).step_by(13) {
@@ -257,7 +340,7 @@ mod tests {
 
     #[test]
     fn offline_fraction_matches_rate() {
-        let s = ChurnSchedule::new(ChurnConfig::with_rate(3, 250));
+        let s = ChurnSchedule::new(ChurnConfig::with_rate(3, 250), 200, 4);
         let mut offline = 0u64;
         let mut total = 0u64;
         for peer in 0..200 {
@@ -276,9 +359,9 @@ mod tests {
 
     #[test]
     fn extreme_rates() {
-        let always = ChurnSchedule::new(ChurnConfig::with_rate(1, 1000));
+        let always = ChurnSchedule::new(ChurnConfig::with_rate(1, 1000), 10, 10);
         assert!(always.offline(0, 0, 0));
-        let beyond = ChurnSchedule::new(ChurnConfig::with_rate(1, 5000));
+        let beyond = ChurnSchedule::new(ChurnConfig::with_rate(1, 5000), 10, 10);
         assert!(beyond.offline(9, 9, 999));
     }
 
@@ -286,10 +369,14 @@ mod tests {
     fn outages_are_day_scoped() {
         let mut config = ChurnConfig::with_rate(5, 0);
         config.outage_days = vec![3, 4];
-        let s = ChurnSchedule::new(ChurnConfig {
-            outage_days: vec![3, 4],
-            ..config
-        });
+        let s = ChurnSchedule::new(
+            ChurnConfig {
+                outage_days: vec![3, 4],
+                ..config
+            },
+            10,
+            10,
+        );
         assert!(!s.is_quiet(), "outage-only schedules are not quiet");
         assert!(!s.server_out(2));
         assert!(s.server_out(3));
@@ -300,8 +387,84 @@ mod tests {
     }
 
     #[test]
+    fn table_matches_the_hash_through_the_retry_horizon() {
+        // Requests spread over 6 days, each retried up to the full
+        // `retry_evict` backoff: the table must answer exactly as the
+        // defining hash at every instant an attempt can reach.
+        let query = QueryPolicy::retry_evict();
+        let days = days_covering(6 * 1000 - 1 + query.backoff_total());
+        assert_eq!(days, 8, "6 days plus 1260 md of backoff end in day 7");
+        for rate in [1, 250, 999] {
+            let s = ChurnSchedule::new(ChurnConfig::with_rate(17, rate), 40, days);
+            for peer in 0..40 {
+                for day in 0..days {
+                    let start = s.session_offline_start(peer, day);
+                    for milli in 0..1000 {
+                        let hashed = (milli + 1000 - start) % 1000 < rate;
+                        assert_eq!(s.offline(peer, day, milli), hashed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the churn horizon")]
+    fn a_day_past_the_horizon_panics() {
+        let s = ChurnSchedule::new(ChurnConfig::with_rate(17, 250), 40, 8);
+        s.offline(0, 8, 0);
+    }
+
+    #[test]
+    fn constant_rates_need_no_table() {
+        for rate in [0, 1000, 5000] {
+            let s = ChurnSchedule::new(ChurnConfig::with_rate(2, rate), 20_000, u32::MAX);
+            assert!(s.starts.is_empty(), "rate {rate} built a table");
+            // No table, so no horizon to fall off.
+            assert_eq!(s.offline(5000, 5000, 0), rate >= 1000);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "churn table of 20000 peers x 4294967295 days")]
+    fn a_saturated_backoff_is_refused_before_allocating() {
+        let q = QueryPolicy {
+            max_retries: 100,
+            backoff_base: u32::MAX,
+            backoff_factor: u32::MAX,
+            handle_stale: false,
+            stale_after: 1,
+        };
+        let days = days_covering(999u64.saturating_add(q.backoff_total()));
+        ChurnSchedule::new(ChurnConfig::with_rate(4, 250), 20_000, days);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 268435456 bytes")]
+    fn one_day_over_the_cap_is_refused() {
+        let days = (MAX_TABLE_BYTES / 2 / 1024) as u32 + 1;
+        ChurnSchedule::new(ChurnConfig::with_rate(4, 250), 1024, days);
+    }
+
+    #[test]
+    fn outages_past_the_listed_days_are_up() {
+        let mut config = ChurnConfig::none();
+        config.outage_days = vec![9, 2];
+        let s = ChurnSchedule::new(config, 0, 0);
+        let out: Vec<u32> = (0..20).filter(|&d| s.server_out(d)).collect();
+        assert_eq!(out, vec![2, 9]);
+        assert!(!s.server_out(u32::MAX));
+    }
+
+    #[test]
+    fn backoff_total_sums_every_retry() {
+        assert_eq!(QueryPolicy::retry_evict().backoff_total(), 60 + 240 + 960);
+        assert_eq!(QueryPolicy::no_retry().backoff_total(), 0);
+    }
+
+    #[test]
     fn replacement_draws_are_stable_and_in_range() {
-        let s = ChurnSchedule::new(ChurnConfig::with_rate(11, 250));
+        let s = ChurnSchedule::new(ChurnConfig::with_rate(11, 250), 10, 10);
         for len in [1usize, 2, 17, 1000] {
             for stale in 0..20 {
                 let i = s.replacement_index(5, stale, 2, len);

@@ -241,11 +241,12 @@ fn golden_fixture() -> String {
         )
         .unwrap();
         let router = backend.router(SEED);
-        let schedule = ChurnSchedule::new(ChurnConfig {
+        let config = ChurnConfig {
             seed: CHURN_SEED,
             churn_permille: 250,
             outage_days: outage.clone(),
-        });
+        };
+        let schedule = ChurnSchedule::new(config, 8, 11);
         for day in [0u32, 10] {
             for querier in 0..8u32 {
                 for file in 0..4u32 {

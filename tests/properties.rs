@@ -496,9 +496,10 @@ proptest! {
         r2 in 0u32..=1000,
     ) {
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let a = ChurnSchedule::new(ChurnConfig::with_rate(seed, lo));
-        let b = ChurnSchedule::new(ChurnConfig::with_rate(seed, lo));
-        let c = ChurnSchedule::new(ChurnConfig::with_rate(seed, hi));
+        let (peers, days) = (peer as usize + 1, day + 1);
+        let a = ChurnSchedule::new(ChurnConfig::with_rate(seed, lo), peers, days);
+        let b = ChurnSchedule::new(ChurnConfig::with_rate(seed, lo), peers, days);
+        let c = ChurnSchedule::new(ChurnConfig::with_rate(seed, hi), peers, days);
         prop_assert_eq!(
             a.session_offline_start(peer, day),
             b.session_offline_start(peer, day)
