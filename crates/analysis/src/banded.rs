@@ -543,6 +543,8 @@ pub fn banded_overlap_histogram_with_threads(
 
 /// The Fig. 13 correlation curve from an overlap histogram — the same
 /// numbers [`correlation_curve`] computes from the pair list.
+///
+/// [`correlation_curve`]: crate::semantic::correlation_curve
 pub fn curve_from_histogram(hist: &[u64]) -> Vec<CorrelationPoint> {
     let max_overlap = hist.len().saturating_sub(1);
     if max_overlap == 0 {

@@ -22,11 +22,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-use crate::index::{IndexBackend, IndexRoute};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
+use crate::index::IndexBackend;
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::sim::{
+    AdversaryPlan, AvailabilityConfig, ChurnSchedule, QueryState, QueryStep, SearchHealth,
+    WalkScratch,
 };
-use crate::sim::{AdversaryPlan, AvailabilityConfig, ChurnSchedule, SearchHealth};
 
 /// Live-overlay parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -180,26 +181,24 @@ pub fn simulate_overlay_health(
         n_peers,
         days_covering(last_md),
     );
-    let quiet = schedule.is_quiet();
     // Final misses route through the index backend; SingleServer is the
     // byte-identical pre-trait path (outage check + zero-cost resolve).
     let router = config.availability.backend.router(config.seed);
     let plan = AdversaryPlan::new(config.availability.adversary.clone(), n_peers);
-    let adv_quiet = plan.is_quiet();
-    let defend = config.availability.reputation && !adv_quiet;
-    let exposure = config.availability.backend.pollution_exposure();
-    let mut books: Vec<ReputationBook> = if defend {
-        vec![ReputationBook::default(); n_peers]
-    } else {
-        Vec::new()
-    };
+    let step = QueryStep::new(
+        &schedule,
+        &router,
+        &plan,
+        &config.availability,
+        config.policy,
+        &sharer_pool,
+    );
+    let mut books = step.adv.books(n_peers);
     // Hijack draws are keyed by a running acquisition number — the
     // overlay's analogue of the batch simulator's stream position.
     let mut acq_no: u64 = 0;
-    let mut query_buf: Vec<Peer> = Vec::new();
-    // Per-request consecutive-timeout streaks (see `SimScratch`).
-    let mut stale_prev: Vec<(Peer, u32)> = Vec::new();
-    let mut stale_cur: Vec<(Peer, u32)> = Vec::new();
+    let mut walk = WalkScratch::default();
+    walk.ensure(n_peers);
     // Reused bitset for the membership probe.
     let mut member_bits = RowBits::new();
     member_bits.ensure(n_peers);
@@ -252,202 +251,51 @@ pub fn simulate_overlay_health(
             }
             day_stats.requests += 1;
             acq_no += 1;
+            let mut st = QueryState {
+                querier: peer,
+                slot: peer as usize,
+                policies: &mut policies,
+                books: &mut books,
+                messages: &mut [],
+                health: &mut health,
+            };
 
-            // Acquisition j of the day happens j/day_len through it.
-            let base_millis = j as u64 * 1000 / day_len;
-            let mut elapsed = 0u64;
-            let mut attempt = 0u32;
-            stale_prev.clear();
-
-            let (found, day, milli) = loop {
-                health.attempted += 1;
-                if attempt > 0 {
-                    health.retried += 1;
-                }
-                let now = base_millis + elapsed;
-                let day = offset as u32 + (now / 1000) as u32;
-                let milli = (now % 1000) as u32;
-
-                // Offline list members time out (with the per-policy
-                // staleness reaction); the list is copied out first
-                // because the reaction mutates it mid-walk.
-                let mut saw_timeout = false;
-                if !quiet || !adv_quiet {
-                    query_buf.clear();
-                    query_buf.extend_from_slice(policies[peer as usize].neighbours());
-                    stale_cur.clear();
-                    for &n in query_buf.iter() {
-                        if quiet || !schedule.offline(n, day, milli) {
-                            // Online. An adversarial member swallows the
-                            // query without answering — wasted, not
-                            // timed out, so no retry or staleness fires;
-                            // only the reputation score can clear it.
-                            if !adv_quiet && plan.answers_nothing(n) {
-                                health.wasted_queries += 1;
-                                if defend && books[peer as usize].on_query(n) {
-                                    let replacement = match config.policy {
-                                        PolicyKind::Random if !sharer_pool.is_empty() => {
-                                            let i = schedule.replacement_index(
-                                                peer,
-                                                n,
-                                                day,
-                                                sharer_pool.len(),
-                                            );
-                                            Some(sharer_pool[i])
-                                        }
-                                        _ => None,
-                                    };
-                                    if policies[peer as usize].expel(n, replacement) {
-                                        health.reputation_evictions += 1;
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        saw_timeout = true;
-                        health.timed_out += 1;
-                        if query.handle_stale {
-                            let streak = stale_prev
-                                .iter()
-                                .find(|&&(p, _)| p == n)
-                                .map_or(1, |&(_, s)| s + 1);
-                            stale_cur.push((n, streak));
-                            if streak < query.stale_after.max(1) {
-                                continue;
-                            }
-                            let replacement = match config.policy {
-                                PolicyKind::Random if !sharer_pool.is_empty() => {
-                                    let i =
-                                        schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                    Some(sharer_pool[i])
-                                }
-                                _ => None,
-                            };
-                            match policies[peer as usize].handle_stale(n, replacement) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut stale_prev, &mut stale_cur);
-                }
-
-                // Membership probe over the *post-staleness* list: the
-                // list is stamped into a word-level bitset once and each
-                // source probes a single bit, O(list + sources).
+            // Acquisition j of the day happens j/day_len through it. The
+            // walk is the batch kernels' with no message ledger (the
+            // overlay counts none); the probe differs: it reads the list
+            // *after* the staleness and reputation reactions, so a
+            // Random replacement drawn mid-walk can answer the same
+            // attempt, where the batch probe reads the walk's marks. A
+            // holder must itself answer (online, honest). The list is
+            // stamped into a word-level bitset once and each source
+            // probes a single bit, O(list + sources).
+            let start_md = offset as u64 * 1000 + j as u64 * 1000 / day_len;
+            let run = step.attempts(&mut st, start_md, &mut walk, |_, policies, day, milli| {
                 member_bits.clear();
                 for &m in policies[peer as usize].neighbours() {
                     member_bits.insert(m);
                 }
-                let uploader = sources.iter().copied().find(|&s| {
-                    member_bits.contains(s)
-                        && (quiet || !schedule.offline(s, day, milli))
-                        && (adv_quiet || !plan.answers_nothing(s))
-                });
+                sources
+                    .iter()
+                    .copied()
+                    .find(|&s| member_bits.contains(s) && step.answers(s, day, milli))
+                    .map(|s| (s, 1))
+            });
 
-                if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                    break (uploader, day, milli);
-                }
-                elapsed += query.backoff_for(attempt);
-                attempt += 1;
+            // A stranded miss acquires nothing and records no link, and
+            // consumes no RNG, keeping SingleServer draws in lockstep
+            // with the reference.
+            let fallback = || sources[rng.gen_range(0..sources.len())];
+            let Some(acq) = step.resolve(st.health, peer, file, run.found, run.at_md, fallback)
+            else {
+                continue;
             };
-
-            let (uploader, fell_back) = match found {
-                Some(u) => {
-                    day_stats.hits += 1;
-                    health.answered += 1;
-                    if schedule.server_out(day) {
-                        health.recovered += 1;
-                    }
-                    (u, false)
-                }
-                None => {
-                    let lookup = router.lookup(&schedule, peer, file, day, milli);
-                    health.forwarded += lookup.forwarded;
-                    health.dht_hops += lookup.dht_hops;
-                    if !lookup.resolved {
-                        // Overlay miss with the index unreachable: the
-                        // upload never happens and no link is recorded
-                        // (the stranded path consumes no RNG, keeping
-                        // SingleServer draws in lockstep with the
-                        // reference).
-                        health.stranded += 1;
-                        continue;
-                    }
-                    health.server_fallback += 1;
-                    (sources[rng.gen_range(0..sources.len())], true)
-                }
-            };
-            if adv_quiet {
-                policies[peer as usize].record_upload(uploader);
-            } else {
-                // Pollution replaces the *recorded* uploader only after
-                // the fallback draw above, keeping the RNG sequence in
-                // lockstep with the honest run. The rest mirrors the
-                // batch simulator's record step: pollution (fallback
-                // only) before hijack, banned peers never recorded,
-                // and the defense book learning from the delta.
-                let mut recorded = uploader;
-                let mut polluted = false;
-                let mut hijacked = false;
-                if fell_back {
-                    if let Some(pol) = plan.polluter(file.index() as u64, exposure) {
-                        recorded = pol;
-                        polluted = true;
-                    }
-                }
-                if !polluted {
-                    if let Some(syb) = plan.hijacker(peer, acq_no) {
-                        recorded = syb;
-                        hijacked = true;
-                    }
-                }
-                if defend && (polluted || hijacked) && books[peer as usize].banned(recorded) {
-                    // A banned peer's claim is void: the querier ignores
-                    // it and credits the peer it actually downloaded
-                    // from — the capture dies, the learning signal
-                    // survives.
-                    recorded = uploader;
-                    polluted = false;
-                    hijacked = false;
-                }
-                if defend && books[peer as usize].banned(recorded) {
-                    // The genuine uploader itself is banned (a fallback
-                    // pick can land on an attacker): nothing is
-                    // recorded.
-                } else {
-                    if polluted {
-                        health.polluted_acquisitions += 1;
-                    } else if hijacked {
-                        health.sybil_slots_held += 1;
-                    }
-                    // The overlay treats every upload as rare (no
-                    // popularity hint), so a zero source count keeps
-                    // RareLru's behaviour identical to `record_upload`.
-                    let (added, removed) =
-                        policies[peer as usize].record_upload_with_popularity_delta(recorded, 0);
-                    if defend {
-                        let book = &mut books[peer as usize];
-                        if polluted || hijacked {
-                            if (added == Some(recorded)
-                                || policies[peer as usize].contains(recorded))
-                                && book.suspect(recorded)
-                                && policies[peer as usize].expel(recorded, None)
-                            {
-                                health.reputation_evictions += 1;
-                            }
-                        } else if book.contains(recorded) {
-                            book.redeem(recorded);
-                        }
-                        if let Some(rm) = removed {
-                            book.remove(rm);
-                        }
-                    }
-                }
-            }
+            day_stats.hits += u64::from(acq.hop == 1);
+            // Recorded after the fallback draw, so pollution and hijacks
+            // never move the RNG sequence. The overlay treats every
+            // upload as rare (no popularity hint): a zero source count
+            // keeps RareLru's behaviour identical to `record_upload`.
+            step.record(&mut st, file, acq_no, acq, 0);
         }
 
         // Roll the world forward to tonight's caches.

@@ -29,11 +29,18 @@
 //!   its own arrivals.
 //! * **Latency accounting.** Simulated query latency = queue wait +
 //!   one overlay round trip per attempt ([`QUERY_RTT_MD`]) + retry
-//!   backoff (the PR 4 timing model, under churn) + index routing cost
-//!   on final misses ([`FED_HOP_LATENCY_MD`] per federation forward,
-//!   [`DHT_HOP_LATENCY_MD`] per DHT hop) — recorded in a log-bucketed
-//!   [`LatencyHistogram`] (HDR-style: exact below 16 md, then 16
-//!   sub-buckets per octave, ≤ 6.25 % relative error).
+//!   backoff (the availability timing model, under churn) + index
+//!   routing cost on final misses ([`FED_HOP_LATENCY_MD`] per
+//!   federation forward, [`DHT_HOP_LATENCY_MD`] per DHT hop) — recorded
+//!   in a log-bucketed [`LatencyHistogram`] (HDR-style: exact below
+//!   16 md, then 16 sub-buckets per octave, ≤ 6.25 % relative error).
+//!
+//! **One query step.** A served query runs the batch simulator's query
+//! step — the same walk, attempt loop, miss resolution and adversarial
+//! record step (`sim::QueryStep`, DESIGN.md §7) — clocked from its
+//! *service* instant instead of the batch instant. Quiet cells take
+//! the split path's interval-settled shortcut with the same rank-based
+//! one-hop probe.
 //!
 //! **Differential contract** (pinned by `tests/service_mode.rs` and
 //! the service proptest): with unbounded queues and the identity
@@ -42,9 +49,14 @@
 //! [`SearchHealth`], same final neighbour lists — for every policy
 //! (including Random: the engine replays the batch path's
 //! policy-construction draws) and, because service instants then equal
-//! the batch path's query instants, even under churn — and under an
-//! adversarial plan, whose refusals, hijacks, pollution and reputation
-//! defense replay the batch path's exact sequence.
+//! the batch path's query instants, even under churn and under an
+//! adversarial plan. Bounded service moves the instants, and with them
+//! which neighbours are offline; `tests/whole_cell_golden.rs` pins one
+//! such replay.
+//!
+//! [`FED_HOP_LATENCY_MD`]: crate::index::FED_HOP_LATENCY_MD
+//! [`DHT_HOP_LATENCY_MD`]: crate::index::DHT_HOP_LATENCY_MD
+//! [`simulate_arena_health_with_scratch`]: crate::sim::simulate_arena_health_with_scratch
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -54,13 +66,10 @@ use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
 use edonkey_workload::churn::{days_covering, ChurnSchedule};
 
-use crate::index::{IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
-};
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer};
 use crate::sim::{
-    fallback_index, AdversaryPlan, QueryRec, SearchHealth, SimConfig, SimResult, SweepPrecomp,
-    MEMBER_MAJOR_CUTOFF,
+    AdversaryPlan, QueryRec, QueryState, QueryStep, SearchHealth, SimConfig, SimResult,
+    SweepPrecomp, WalkScratch,
 };
 
 /// One overlay query round trip (ask the neighbours, hear back), in
@@ -373,23 +382,7 @@ impl ServeHealth {
     /// Accumulates a shard partial (`max_queue_depth` by maximum,
     /// everything else by sum).
     fn merge(&mut self, other: &ServeHealth) {
-        let s = &mut self.search;
-        let o = &other.search;
-        s.attempted += o.attempted;
-        s.answered += o.answered;
-        s.timed_out += o.timed_out;
-        s.retried += o.retried;
-        s.evicted_stale += o.evicted_stale;
-        s.probed_stale += o.probed_stale;
-        s.server_fallback += o.server_fallback;
-        s.stranded += o.stranded;
-        s.recovered += o.recovered;
-        s.forwarded += o.forwarded;
-        s.dht_hops += o.dht_hops;
-        s.wasted_queries += o.wasted_queries;
-        s.sybil_slots_held += o.sybil_slots_held;
-        s.polluted_acquisitions += o.polluted_acquisitions;
-        s.reputation_evictions += o.reputation_evictions;
+        self.search += &other.search;
         self.arrived += other.arrived;
         self.served += other.served;
         self.shed += other.shed;
@@ -474,28 +467,6 @@ impl QuerierState {
     }
 }
 
-/// Per-worker scratch (reused across the shards a worker claims).
-#[derive(Default)]
-struct ShardScratch {
-    mark: Vec<u64>,
-    generation: u64,
-    query_buf: Vec<Peer>,
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
-}
-
-/// The adversary context a shard threads into every churn-path query:
-/// the role plan, the quiet/defend flags resolved once per run, and the
-/// backend's pollution exposure. Adversarial cells always take the
-/// churn path — [`crate::sim::AvailabilityConfig::is_quiet`] covers the
-/// adversary plan — so the quiet path never needs this.
-struct AdversaryCtx<'a> {
-    plan: &'a AdversaryPlan,
-    quiet: bool,
-    defend: bool,
-    exposure: u32,
-}
-
 /// One shard's complete outcome; merging in shard order reproduces the
 /// engine's report for any thread count.
 struct ShardOutcome {
@@ -548,10 +519,19 @@ pub fn serve_arena_threads(
             &mut rng,
         ));
     }
-    // The cell's draws, built once and read by every shard.
+    // The cell's draws and query step, built once and read by every
+    // shard.
     let schedule = config.schedule(n_peers, pre.requests);
     let plan = AdversaryPlan::new(sim.availability.adversary.clone(), n_peers);
     let router = sim.availability.backend.router(sim.seed);
+    let step = QueryStep::new(
+        &schedule,
+        &router,
+        &plan,
+        &sim.availability,
+        sim.policy,
+        &sharer_pool,
+    );
     let ranges = pre.peer_ranges(config.n_shards.max(1));
     let mut partitions: Vec<Vec<AnyPolicy>> = Vec::with_capacity(ranges.len());
     for &(lo, _) in ranges.iter().rev() {
@@ -572,24 +552,14 @@ pub fn serve_arena_threads(
     let outcomes: Vec<ShardOutcome> = parallel_map_init_threads(
         &tasks,
         threads.max(1),
-        ShardScratch::default,
-        |scratch, (shard, range, slot)| {
+        WalkScratch::default,
+        |walk, (shard, range, slot)| {
             let policies = slot
                 .lock()
                 .expect("shard input lock")
                 .take()
                 .expect("each shard input is taken exactly once");
-            run_shard(
-                arena,
-                &pre,
-                config,
-                (&schedule, &plan, &router),
-                &sharer_pool,
-                *shard,
-                *range,
-                policies,
-                scratch,
-            )
+            run_shard(arena, &pre, config, &step, *shard, *range, policies, walk)
         },
     );
 
@@ -640,12 +610,11 @@ fn run_shard(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &ServeConfig,
-    (schedule, plan, router): (&ChurnSchedule, &AdversaryPlan, &IndexRouter),
-    sharer_pool: &[Peer],
+    step: &QueryStep,
     shard: usize,
     (lo, hi): (u32, u32),
     mut policies: Vec<AnyPolicy>,
-    scratch: &mut ShardScratch,
+    walk: &mut WalkScratch,
 ) -> ShardOutcome {
     let sim = &config.sim;
     let tick_md = config.tick_md.max(1);
@@ -658,9 +627,7 @@ fn run_shard(
     // keeps the order total and deterministic.
     let mut arrivals: Vec<Arrival> = Vec::new();
     for p in lo..hi {
-        let qlo = pre.queries_off[p as usize] as usize;
-        let qhi = pre.queries_off[p as usize + 1] as usize;
-        for &rec in &pre.queries[qlo..qhi] {
+        for &rec in pre.requests_of(p) {
             let base_md = u64::from(rec.t) * span_millis / stream_len;
             let arr_md = process.arrival_md(p, base_md / tick_md, base_md);
             arrivals.push(Arrival {
@@ -681,23 +648,11 @@ fn run_shard(
         lists: Vec::new(),
     };
     let quiet = sim.availability.is_quiet();
-    let adv = AdversaryCtx {
-        quiet: plan.is_quiet(),
-        defend: sim.availability.reputation && !plan.is_quiet(),
-        exposure: sim.availability.backend.pollution_exposure(),
-        plan,
-    };
     // Reputation books are querier-local (like the policies), so the
     // shard partition carries the whole defense state.
-    let mut books: Vec<ReputationBook> = if adv.defend {
-        vec![ReputationBook::default(); (hi - lo) as usize]
-    } else {
-        Vec::new()
-    };
+    let mut books = step.adv.books((hi - lo) as usize);
     let mut states: Vec<QuerierState> = vec![QuerierState::default(); (hi - lo) as usize];
-    if scratch.mark.len() < pre.n_peers {
-        scratch.mark.resize(pre.n_peers, 0);
-    }
+    walk.ensure(pre.n_peers);
 
     // The tick loop: enqueue this tick's arrivals (shedding past the
     // queue bound), then serve up to the per-tick capacity. An empty
@@ -732,41 +687,46 @@ fn run_shard(
             }
             let service_md = arrival.arr_md + wait_ticks * tick_md;
             let wait_md = wait_ticks * tick_md;
-            let querier_state = &mut states[(arrival.querier - lo) as usize];
-            let policy = &mut policies[(arrival.querier - lo) as usize];
-            let walk_md = if quiet {
+            let slot = (arrival.querier - lo) as usize;
+            let mut st = QueryState {
+                querier: arrival.querier,
+                slot,
+                policies: &mut policies,
+                books: &mut books,
+                messages: &mut out.messages,
+                health: &mut out.health.search,
+            };
+            let (walk_md, hit) = if quiet {
                 serve_query_quiet(
                     arena,
                     pre,
-                    schedule,
-                    router,
-                    &arrival,
+                    step,
+                    &arrival.rec,
                     service_md,
-                    policy,
-                    querier_state,
-                    &mut out,
+                    &mut st,
+                    &mut states[slot],
                 )
             } else {
-                let book = if adv.defend {
-                    Some(&mut books[(arrival.querier - lo) as usize])
-                } else {
-                    None
-                };
-                serve_query_churn(
-                    pre,
-                    sim,
-                    schedule,
-                    router,
-                    sharer_pool,
-                    &arrival,
-                    service_md,
-                    policy,
-                    &adv,
-                    book,
-                    scratch,
-                    &mut out,
-                )
+                // The shared query step, clocked from the service instant
+                // (the batch instant exactly when the query never
+                // waited). Latency: a round trip per attempt, the backoff
+                // the retries slept and the final miss's routing cost.
+                let rec = &arrival.rec;
+                let prefix = pre.prefix(rec);
+                let run = step.attempts(&mut st, service_md, walk, |w, _, _, _| {
+                    w.first_marked(prefix).map(|s| (s, 1))
+                });
+                let fallback = || pre.fallback(rec);
+                let acq = step
+                    .resolve(
+                        st.health, st.querier, rec.file, run.found, run.at_md, fallback,
+                    )
+                    .expect("service mode has no outages, so every lookup resolves");
+                step.record(&mut st, rec.file, u64::from(rec.t), acq, rec.rank);
+                let rtts = u64::from(run.count) * QUERY_RTT_MD;
+                (rtts + run.elapsed + acq.route_md, acq.hop == 1)
             };
+            out.one_hop_hits += u64::from(hit);
             out.health.served += 1;
             out.latency.record(wait_md + walk_md);
         }
@@ -787,326 +747,48 @@ fn run_shard(
     out
 }
 
-/// Serves one quiet-regime query: rank-based hit check against the
-/// querier's membership mirror, interval-settled messages, stateless
-/// fallback. Returns the walk's latency contribution (everything but
-/// the queue wait).
-#[allow(clippy::too_many_arguments)]
+/// Serves one quiet-regime query: the split path's rank-based hit check
+/// against the querier's membership mirror (a shard interleaves
+/// thousands of queriers, so a shared peer-indexed mark cannot encode
+/// "member of *this* querier"), interval-settled messages, stateless
+/// fallback. Returns the query's latency past the queue wait, and
+/// whether it hit.
 fn serve_query_quiet(
     arena: &CacheArena,
     pre: &SweepPrecomp,
-    schedule: &ChurnSchedule,
-    router: &IndexRouter,
-    arrival: &Arrival,
+    step: &QueryStep,
+    rec: &QueryRec,
     service_md: u64,
-    policy: &mut AnyPolicy,
+    st: &mut QueryState,
     state: &mut QuerierState,
-    out: &mut ShardOutcome,
-) -> u64 {
+) -> (u64, bool) {
+    let policy = &mut st.policies[st.slot];
     state.ensure_init(policy.neighbours());
-    let rec = arrival.rec;
-    let r = rec.rank as usize;
-    let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-
-    // One-hop hit: the member with the minimal arrival rank below `r`
-    // — the same check as the split path's, with the mark array
-    // replaced by the querier's sorted mirror (a shard interleaves
-    // thousands of queriers, so a shared peer-indexed mark cannot
-    // encode "member of *this* querier").
     let members = policy.neighbours();
-    let uploader = if r > MEMBER_MAJOR_CUTOFF * members.len().max(1) {
-        let (arena_files, arena_offsets) = arena.as_csr_parts();
-        let mut best: Option<(u32, Peer)> = None;
-        for &m in members {
-            let row_lo = arena_offsets[m as usize] as usize;
-            let row_hi = arena_offsets[m as usize + 1] as usize;
-            if let Ok(pos) = arena_files[row_lo..row_hi].binary_search(&rec.file) {
-                let rk = pre.rank_by[row_lo + pos];
-                if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
-                    best = Some((rk, m));
-                }
-            }
-        }
-        best.map(|(_, m)| m)
-    } else {
-        prefix.iter().copied().find(|&s| state.is_member(s))
-    };
+    let found = pre.quiet_hit(arena, rec, members.len(), members.iter().copied(), |s| {
+        state.is_member(s)
+    });
 
-    out.health.search.attempted += 1;
-    let (uploader, route_md) = match uploader {
-        Some(u) => {
-            out.one_hop_hits += 1;
-            out.health.search.answered += 1;
-            (u, 0)
-        }
-        None => {
-            let day = (service_md / 1000) as u32;
-            let milli = (service_md % 1000) as u32;
-            let lookup = router.lookup(schedule, arrival.querier, rec.file, day, milli);
-            out.health.search.forwarded += lookup.forwarded;
-            out.health.search.dht_hops += lookup.dht_hops;
-            debug_assert!(lookup.resolved, "no outages, so every lookup resolves");
-            out.health.search.server_fallback += 1;
-            (
-                prefix[fallback_index(pre.seed, u64::from(rec.t), r)],
-                lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD,
-            )
-        }
-    };
+    st.health.attempted += 1;
+    let found = found.map(|u| (u, 1));
+    let fallback = || pre.fallback(rec);
+    let acq = step
+        .resolve(st.health, st.querier, rec.file, found, service_md, fallback)
+        .expect("service mode has no outages, so every lookup resolves");
 
     // Policy update + interval settling (the split path's accounting:
     // a member removed after this querier's `q`-th served query was
     // queried during `[start, q]`).
-    let (added, removed) = policy.record_upload_with_popularity_delta(uploader, r as u32);
+    let (added, removed) = policy.record_upload_with_popularity_delta(acq.uploader, rec.rank);
     if let Some(rm) = removed {
         let start = state.remove(rm);
-        out.messages[rm as usize] += u64::from(state.served + 1 - start);
+        st.messages[rm as usize] += u64::from(state.served + 1 - start);
     }
     if let Some(ad) = added {
         state.add(ad, state.served + 1);
     }
     state.served += 1;
-    QUERY_RTT_MD + route_md
-}
-
-/// Serves one churn-regime query: the batch path's timeout / retry /
-/// staleness walk with immediate message accounting, clocked from the
-/// *service* instant (equal to the batch instant exactly when the
-/// query never waited). Adversarial cells ride this path too (refusals,
-/// hijack, pollution, the reputation defense — the exact batch-path
-/// sequence, so the differential contract extends to them). Returns the
-/// walk's latency contribution: one round trip per attempt, the backoff
-/// the retries slept, and the final miss's routing cost.
-#[allow(clippy::too_many_arguments)]
-fn serve_query_churn(
-    pre: &SweepPrecomp,
-    sim: &SimConfig,
-    schedule: &ChurnSchedule,
-    router: &IndexRouter,
-    sharer_pool: &[Peer],
-    arrival: &Arrival,
-    service_md: u64,
-    policy: &mut AnyPolicy,
-    adv: &AdversaryCtx,
-    mut book: Option<&mut ReputationBook>,
-    scratch: &mut ShardScratch,
-    out: &mut ShardOutcome,
-) -> u64 {
-    let rec = arrival.rec;
-    let r = rec.rank as usize;
-    let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-    let query = sim.availability.query;
-
-    let mut elapsed = 0u64;
-    let mut attempt = 0u32;
-    scratch.stale_prev.clear();
-
-    let (uploader, day, milli) = loop {
-        out.health.search.attempted += 1;
-        if attempt > 0 {
-            out.health.search.retried += 1;
-        }
-        let now = service_md + elapsed;
-        let day = (now / 1000) as u32;
-        let milli = (now % 1000) as u32;
-
-        scratch.generation += 1;
-        let mut saw_timeout = false;
-        scratch.query_buf.clear();
-        scratch.query_buf.extend_from_slice(policy.neighbours());
-        scratch.stale_cur.clear();
-        for &n in scratch.query_buf.iter() {
-            if schedule.offline(n, day, milli) {
-                saw_timeout = true;
-                out.health.search.timed_out += 1;
-                if query.handle_stale {
-                    let streak = scratch
-                        .stale_prev
-                        .iter()
-                        .find(|&&(p, _)| p == n)
-                        .map_or(1, |&(_, s)| s + 1);
-                    scratch.stale_cur.push((n, streak));
-                    if streak >= query.stale_after.max(1) {
-                        // Only the Random policy draws a replacement,
-                        // statelessly — same as the batch path.
-                        let replacement = match sim.policy {
-                            PolicyKind::Random if !sharer_pool.is_empty() => {
-                                let i = schedule.replacement_index(
-                                    arrival.querier,
-                                    n,
-                                    day,
-                                    sharer_pool.len(),
-                                );
-                                Some(sharer_pool[i])
-                            }
-                            _ => None,
-                        };
-                        match policy.handle_stale(n, replacement) {
-                            StaleReaction::Evicted | StaleReaction::Replaced => {
-                                out.health.search.evicted_stale += 1;
-                            }
-                            StaleReaction::Probed => out.health.search.probed_stale += 1,
-                            StaleReaction::Kept => {}
-                        }
-                    }
-                }
-            } else if !adv.quiet && adv.plan.answers_nothing(n) {
-                // Refused: the adversary is online and the query costs
-                // a message, but no answer comes back and no mark is
-                // stamped. Not a timeout — no retry or staleness fires;
-                // only the reputation score can clear the slot.
-                out.messages[n as usize] += 1;
-                out.health.search.wasted_queries += 1;
-                if adv.defend
-                    && book
-                        .as_deref_mut()
-                        .expect("defense books exist when defending")
-                        .on_query(n)
-                {
-                    let replacement = match sim.policy {
-                        PolicyKind::Random if !sharer_pool.is_empty() => {
-                            let i = schedule.replacement_index(
-                                arrival.querier,
-                                n,
-                                day,
-                                sharer_pool.len(),
-                            );
-                            Some(sharer_pool[i])
-                        }
-                        _ => None,
-                    };
-                    if policy.expel(n, replacement) {
-                        out.health.search.reputation_evictions += 1;
-                    }
-                }
-            } else {
-                out.messages[n as usize] += 1;
-                scratch.mark[n as usize] = scratch.generation;
-            }
-        }
-        std::mem::swap(&mut scratch.stale_prev, &mut scratch.stale_cur);
-        let uploader: Option<Peer> = prefix
-            .iter()
-            .copied()
-            .find(|&s| scratch.mark[s as usize] == scratch.generation);
-
-        if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-            break (uploader, day, milli);
-        }
-        elapsed += query.backoff_for(attempt);
-        attempt += 1;
-    };
-
-    let route_md = match uploader {
-        Some(u) => {
-            out.one_hop_hits += 1;
-            out.health.search.answered += 1;
-            record_after_walk(
-                adv,
-                arrival.querier,
-                rec,
-                u,
-                false,
-                policy,
-                book,
-                &mut out.health.search,
-            );
-            0
-        }
-        None => {
-            let lookup = router.lookup(schedule, arrival.querier, rec.file, day, milli);
-            out.health.search.forwarded += lookup.forwarded;
-            out.health.search.dht_hops += lookup.dht_hops;
-            debug_assert!(lookup.resolved, "no outages, so every lookup resolves");
-            out.health.search.server_fallback += 1;
-            let pick = prefix[fallback_index(pre.seed, u64::from(rec.t), r)];
-            record_after_walk(
-                adv,
-                arrival.querier,
-                rec,
-                pick,
-                true,
-                policy,
-                book,
-                &mut out.health.search,
-            );
-            lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD
-        }
-    };
-    u64::from(attempt + 1) * QUERY_RTT_MD + elapsed + route_md
-}
-
-/// The record step at the end of a churn-path walk, mirroring the batch
-/// simulator's adversarial record exactly: pollution is checked first
-/// and only on fallback records, sybil hijack applies to anything the
-/// pollution left alone, a banned peer is never recorded again, and the
-/// defense book learns from the record's membership delta. Quiet plans
-/// reduce to the plain record.
-#[allow(clippy::too_many_arguments)]
-fn record_after_walk(
-    adv: &AdversaryCtx,
-    querier: u32,
-    rec: QueryRec,
-    uploader: Peer,
-    fell_back: bool,
-    policy: &mut AnyPolicy,
-    book: Option<&mut ReputationBook>,
-    health: &mut SearchHealth,
-) {
-    if adv.quiet {
-        let _ = policy.record_upload_with_popularity_delta(uploader, rec.rank);
-        return;
-    }
-    let mut recorded = uploader;
-    let mut polluted = false;
-    let mut hijacked = false;
-    if fell_back {
-        if let Some(pol) = adv.plan.polluter(rec.file.index() as u64, adv.exposure) {
-            recorded = pol;
-            polluted = true;
-        }
-    }
-    if !polluted {
-        if let Some(syb) = adv.plan.hijacker(querier, u64::from(rec.t)) {
-            recorded = syb;
-            hijacked = true;
-        }
-    }
-    if adv.defend && (polluted || hijacked) && book.as_ref().is_some_and(|b| b.banned(recorded)) {
-        // A banned peer's claim is void: the querier ignores it and
-        // credits the peer it actually downloaded from — exactly as in
-        // the batch path.
-        recorded = uploader;
-        polluted = false;
-        hijacked = false;
-    }
-    if adv.defend && book.as_ref().is_some_and(|b| b.banned(recorded)) {
-        // The genuine uploader itself is banned (a fallback pick can
-        // land on an attacker): nothing is recorded.
-    } else {
-        if polluted {
-            health.polluted_acquisitions += 1;
-        } else if hijacked {
-            health.sybil_slots_held += 1;
-        }
-        let (added, removed) = policy.record_upload_with_popularity_delta(recorded, rec.rank);
-        if adv.defend {
-            let b = book.expect("defense books exist when defending");
-            if polluted || hijacked {
-                if (added == Some(recorded) || policy.contains(recorded))
-                    && b.suspect(recorded)
-                    && policy.expel(recorded, None)
-                {
-                    health.reputation_evictions += 1;
-                }
-            } else if b.contains(recorded) {
-                b.redeem(recorded);
-            }
-            if let Some(rm) = removed {
-                b.remove(rm);
-            }
-        }
-    }
+    (QUERY_RTT_MD + acq.route_md, acq.hop == 1)
 }
 
 #[cfg(test)]

@@ -42,9 +42,10 @@ use edonkey_workload::mix::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::ops::AddAssign;
 use std::time::Instant;
 
-use crate::index::{IndexBackend, IndexRoute};
+use crate::index::{IndexBackend, IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
 use crate::neighbours::{
     AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
 };
@@ -395,6 +396,29 @@ impl SearchHealth {
     }
 }
 
+/// Field-wise sum: ledgers over disjoint request sets (split-cell
+/// ranges, serve shards) merge by addition. A new field must join the
+/// sum; `health_sum_adds_every_field_to_itself` fails until it does.
+impl AddAssign<&SearchHealth> for SearchHealth {
+    fn add_assign(&mut self, other: &SearchHealth) {
+        self.attempted += other.attempted;
+        self.answered += other.answered;
+        self.timed_out += other.timed_out;
+        self.retried += other.retried;
+        self.evicted_stale += other.evicted_stale;
+        self.probed_stale += other.probed_stale;
+        self.server_fallback += other.server_fallback;
+        self.stranded += other.stranded;
+        self.recovered += other.recovered;
+        self.forwarded += other.forwarded;
+        self.dht_hops += other.dht_hops;
+        self.wasted_queries += other.wasted_queries;
+        self.sybil_slots_held += other.sybil_slots_held;
+        self.polluted_acquisitions += other.polluted_acquisitions;
+        self.reputation_evictions += other.reputation_evictions;
+    }
+}
+
 /// Simulation outcome.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResult {
@@ -521,19 +545,8 @@ pub struct SimScratch {
     /// one heap `Vec` per shared file.
     sharer_rows: Vec<(u32, u32)>,
     sharer_flat: Vec<Peer>,
-    /// `mark[p] == generation` ⇔ peer `p` is an *online, queried*
-    /// neighbour of the current requester. Stale entries are
-    /// invalidated by the generation bump — never by clearing the
-    /// array.
-    mark: Vec<u64>,
-    generation: u64,
-    /// Per-attempt copy of the requester's neighbour list: staleness
-    /// reactions mutate the list mid-walk.
-    query_buf: Vec<Peer>,
-    /// Per-request consecutive-timeout streaks `(neighbour, streak)` —
-    /// the previous attempt's and the one being walked.
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
+    /// The query step's walk buffers, including the membership marks.
+    walk: WalkScratch,
     /// Pooled per-peer neighbour policies, renewed in place each run
     /// ([`AnyPolicy::renew`] replays the construction draw sequence, so
     /// reuse is invisible to the RNG stream).
@@ -542,7 +555,7 @@ pub struct SimScratch {
     sharer_pool: Vec<Peer>,
     /// Two-hop probe: the requested file's sharers that would answer
     /// now, in arrival order, and — when there are many of them —
-    /// their ranks: `sharer_at[p] == (generation, i)` ⇔ `p` is
+    /// their ranks: `sharer_at[p] == (walk generation, i)` ⇔ `p` is
     /// `answering[i]`.
     answering: Vec<Peer>,
     sharer_at: Vec<(u64, u32)>,
@@ -559,6 +572,448 @@ impl SimScratch {
     /// against. Empty before the first run.
     pub fn final_lists(&self) -> Vec<Vec<Peer>> {
         self.policies.iter().map(AnyPolicy::snapshot).collect()
+    }
+}
+
+/// The walk's buffers: one set per worker, reused across requests.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    /// `mark[p] == generation` ⇔ peer `p` is an *online, queried*
+    /// neighbour of the current attempt. Stale entries are invalidated
+    /// by the generation bump — never by clearing the array.
+    mark: Vec<u64>,
+    generation: u64,
+    /// Per-attempt copy of the querier's list: staleness and reputation
+    /// reactions mutate the list mid-walk.
+    query_buf: Vec<Peer>,
+    /// Per-request consecutive-timeout streaks `(neighbour, streak)` —
+    /// the previous attempt's and the one being walked.
+    stale_prev: Vec<(Peer, u32)>,
+    stale_cur: Vec<(Peer, u32)>,
+}
+
+impl WalkScratch {
+    /// Grows the mark array to cover `n_peers` peers.
+    pub(crate) fn ensure(&mut self, n_peers: usize) {
+        if self.mark.len() < n_peers {
+            self.mark.resize(n_peers, 0);
+        }
+    }
+
+    /// The first of `sharers` the last walk queried while online — the
+    /// one-hop answer, in sharer (arrival) order.
+    #[inline]
+    pub(crate) fn first_marked(&self, sharers: &[Peer]) -> Option<Peer> {
+        sharers
+            .iter()
+            .copied()
+            .find(|&s| self.mark[s as usize] == self.generation)
+    }
+}
+
+/// The adversary side of a run, resolved once: the role plan, whether
+/// it is quiet, whether the reputation defense is armed (only against a
+/// non-quiet plan, which is what makes `reputation` mechanically free
+/// on honest runs) and the backend's pollution exposure.
+#[derive(Clone, Copy)]
+pub(crate) struct AdversaryCtx<'a> {
+    plan: &'a AdversaryPlan,
+    quiet: bool,
+    defend: bool,
+    exposure: u32,
+}
+
+impl AdversaryCtx<'_> {
+    /// One reputation book per querier slot when defending; none
+    /// otherwise (the books are never consulted then).
+    pub(crate) fn books(&self, slots: usize) -> Vec<ReputationBook> {
+        if self.defend {
+            vec![ReputationBook::default(); slots]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// What one request of the query step reads and writes on the querier's
+/// side: its policy and reputation book (`slot` indexes both tables —
+/// the peer id in whole-run tables, the offset in a shard's), the
+/// per-peer message loads (empty when the kernel counts none) and the
+/// ledger.
+pub(crate) struct QueryState<'a> {
+    pub(crate) querier: Peer,
+    pub(crate) slot: usize,
+    pub(crate) policies: &'a mut [AnyPolicy],
+    pub(crate) books: &'a mut [ReputationBook],
+    pub(crate) messages: &'a mut [u64],
+    pub(crate) health: &'a mut SearchHealth,
+}
+
+/// How an attempt loop ended: the answer and the hop it came from, the
+/// last attempt's instant (milli-days), the attempts made and the
+/// backoff slept between them.
+pub(crate) struct Attempts {
+    pub(crate) found: Option<(Peer, u8)>,
+    pub(crate) at_md: u64,
+    pub(crate) count: u32,
+    pub(crate) elapsed: u64,
+}
+
+/// A request that acquired its file: who uploads it, the hop that
+/// answered (0 for the server fallback) and the index lookup's routing
+/// latency.
+#[derive(Clone, Copy)]
+pub(crate) struct Acquired {
+    pub(crate) uploader: Peer,
+    pub(crate) hop: u8,
+    pub(crate) route_md: u64,
+}
+
+/// Counts one message to `peer` — unless the ledger is empty (the live
+/// overlay keeps none).
+#[inline]
+fn count(messages: &mut [u64], peer: Peer) {
+    if let Some(m) = messages.get_mut(peer as usize) {
+        *m += 1;
+    }
+}
+
+/// `(day, milli)` of an instant in milli-days.
+#[inline]
+fn day_milli(md: u64) -> (u32, u32) {
+    ((md / 1000) as u32, (md % 1000) as u32)
+}
+
+/// The Section 5 query step (DESIGN.md §7), written once for every
+/// kernel. Each request runs [`QueryStep::attempts`] (walk + the
+/// kernel's probe, retried), [`QueryStep::resolve`] and
+/// [`QueryStep::record`]: the whole-cell kernel with its one-hop +
+/// two-hop probe, the split-churn and churned-serve kernels with the
+/// one-hop prefix scan, and the live overlay with no message ledger and
+/// its own post-reaction probe. Built once per run (per range on the
+/// split path) and only read.
+pub(crate) struct QueryStep<'a> {
+    schedule: &'a ChurnSchedule,
+    /// `schedule.is_quiet()`: nobody is ever offline.
+    quiet: bool,
+    query: QueryPolicy,
+    policy: PolicyKind,
+    /// Random replacements are drawn from here (the non-free-riders).
+    sharer_pool: &'a [Peer],
+    router: &'a IndexRouter,
+    pub(crate) adv: AdversaryCtx<'a>,
+}
+
+impl<'a> QueryStep<'a> {
+    pub(crate) fn new(
+        schedule: &'a ChurnSchedule,
+        router: &'a IndexRouter,
+        plan: &'a AdversaryPlan,
+        availability: &AvailabilityConfig,
+        policy: PolicyKind,
+        sharer_pool: &'a [Peer],
+    ) -> Self {
+        QueryStep {
+            schedule,
+            quiet: schedule.is_quiet(),
+            query: availability.query,
+            policy,
+            sharer_pool,
+            router,
+            adv: AdversaryCtx {
+                plan,
+                quiet: plan.is_quiet(),
+                defend: availability.reputation && !plan.is_quiet(),
+                exposure: availability.backend.pollution_exposure(),
+            },
+        }
+    }
+
+    /// Is `peer` offline at `(day, milli)`?
+    #[inline]
+    fn offline(&self, peer: Peer, day: u32, milli: u32) -> bool {
+        !self.quiet && self.schedule.offline(peer, day, milli)
+    }
+
+    /// Would `peer` answer a query at `(day, milli)`: online and honest.
+    #[inline]
+    pub(crate) fn answers(&self, peer: Peer, day: u32, milli: u32) -> bool {
+        !self.offline(peer, day, milli) && (self.adv.quiet || !self.adv.plan.answers_nothing(peer))
+    }
+
+    /// The slot refill for `stale`, dropped from `querier`'s list on
+    /// `day`. Only the Random policy wants one; it is drawn statelessly
+    /// so the main RNG sequence never moves.
+    #[inline]
+    fn replacement(&self, querier: Peer, stale: Peer, day: u32) -> Option<Peer> {
+        let sharer_pool = self.sharer_pool;
+        match self.policy {
+            PolicyKind::Random if !sharer_pool.is_empty() => {
+                let i = self
+                    .schedule
+                    .replacement_index(querier, stale, day, sharer_pool.len());
+                Some(sharer_pool[i])
+            }
+            _ => None,
+        }
+    }
+
+    /// One attempt over a copy of the querier's list. An offline
+    /// neighbour times out (no message, no mark); an online adversary
+    /// refuses (a message, no mark — not a timeout, so only the
+    /// reputation score can clear the slot). Every other neighbour
+    /// costs one message and is marked. Returns whether anything timed
+    /// out. Reactions edit the list mid-walk, so the walk reads a copy.
+    #[inline(always)]
+    fn walk(&self, st: &mut QueryState, day: u32, milli: u32, w: &mut WalkScratch) -> bool {
+        w.generation += 1;
+        let mut saw_timeout = false;
+        w.query_buf.clear();
+        w.query_buf
+            .extend_from_slice(st.policies[st.slot].neighbours());
+        w.stale_cur.clear();
+        for &n in w.query_buf.iter() {
+            if self.offline(n, day, milli) {
+                saw_timeout = true;
+                self.time_out(st, n, day, &w.stale_prev, &mut w.stale_cur);
+            } else if !self.adv.quiet && self.adv.plan.answers_nothing(n) {
+                self.refuse(st, n, day);
+            } else {
+                count(st.messages, n);
+                w.mark[n as usize] = w.generation;
+            }
+        }
+        std::mem::swap(&mut w.stale_prev, &mut w.stale_cur);
+        saw_timeout
+    }
+
+    /// A timeout of `n`, which after `stale_after` consecutive timeouts
+    /// within the request gets the policy's staleness reaction.
+    /// `stale_prev` holds the previous attempt's streaks; this
+    /// attempt's go to `stale_cur`.
+    #[inline(never)]
+    fn time_out(
+        &self,
+        st: &mut QueryState,
+        n: Peer,
+        day: u32,
+        stale_prev: &[(Peer, u32)],
+        stale_cur: &mut Vec<(Peer, u32)>,
+    ) {
+        st.health.timed_out += 1;
+        if !self.query.handle_stale {
+            return;
+        }
+        let streak = stale_prev
+            .iter()
+            .find(|&&(p, _)| p == n)
+            .map_or(1, |&(_, s)| s + 1);
+        stale_cur.push((n, streak));
+        if streak >= self.query.stale_after.max(1) {
+            let replacement = self.replacement(st.querier, n, day);
+            match st.policies[st.slot].handle_stale(n, replacement) {
+                StaleReaction::Evicted | StaleReaction::Replaced => st.health.evicted_stale += 1,
+                StaleReaction::Probed => st.health.probed_stale += 1,
+                StaleReaction::Kept => {}
+            }
+        }
+    }
+
+    /// A refusal by the online adversary `n`: the query costs a message
+    /// and is wasted; the armed defense scores it and may expel `n`.
+    #[inline(never)]
+    fn refuse(&self, st: &mut QueryState, n: Peer, day: u32) {
+        count(st.messages, n);
+        st.health.wasted_queries += 1;
+        if self.adv.defend && st.books[st.slot].on_query(n) {
+            let replacement = self.replacement(st.querier, n, day);
+            if st.policies[st.slot].expel(n, replacement) {
+                st.health.reputation_evictions += 1;
+            }
+        }
+    }
+
+    /// The attempt loop from `start_md`: walk, then `probe` the marks
+    /// (it sees the walk buffers, every policy and the attempt's
+    /// `(day, milli)`, and returns the answer with its hop). Retries —
+    /// after the policy's backoff, up to `max_retries` — only when
+    /// something timed out: a definitive miss over fully online
+    /// neighbours is final. Each kernel gets its own copy, monomorphised
+    /// over its probe, with the walk's neighbour loop inlined.
+    #[inline]
+    pub(crate) fn attempts<P>(
+        &self,
+        st: &mut QueryState,
+        start_md: u64,
+        w: &mut WalkScratch,
+        mut probe: P,
+    ) -> Attempts
+    where
+        P: FnMut(&WalkScratch, &[AnyPolicy], u32, u32) -> Option<(Peer, u8)>,
+    {
+        let mut elapsed = 0u64;
+        let mut attempt = 0u32;
+        w.stale_prev.clear();
+        loop {
+            st.health.attempted += 1;
+            if attempt > 0 {
+                st.health.retried += 1;
+            }
+            let at_md = start_md + elapsed;
+            let (day, milli) = day_milli(at_md);
+            let saw_timeout = self.walk(st, day, milli, w);
+            let found = probe(w, st.policies, day, milli);
+            if found.is_some() || !saw_timeout || attempt >= self.query.max_retries {
+                return Attempts {
+                    found,
+                    at_md,
+                    count: attempt + 1,
+                    elapsed,
+                };
+            }
+            elapsed += self.query.backoff_for(attempt);
+            attempt += 1;
+        }
+    }
+
+    /// Miss resolution: an answer is booked (and `recovered` on a
+    /// server-outage day); a final miss routes through the index at
+    /// `at_md`, then strands (`None`: nothing acquired, nothing
+    /// recorded, no RNG consumed) or falls back to `fallback()`'s pick.
+    #[inline]
+    pub(crate) fn resolve(
+        &self,
+        health: &mut SearchHealth,
+        querier: Peer,
+        file: FileRef,
+        found: Option<(Peer, u8)>,
+        at_md: u64,
+        fallback: impl FnOnce() -> Peer,
+    ) -> Option<Acquired> {
+        let (day, milli) = day_milli(at_md);
+        if let Some((uploader, hop)) = found {
+            health.answered += 1;
+            if self.schedule.server_out(day) {
+                health.recovered += 1;
+            }
+            return Some(Acquired {
+                uploader,
+                hop,
+                route_md: 0,
+            });
+        }
+        let lookup = self.router.lookup(self.schedule, querier, file, day, milli);
+        health.forwarded += lookup.forwarded;
+        health.dht_hops += lookup.dht_hops;
+        if !lookup.resolved {
+            health.stranded += 1;
+            return None;
+        }
+        health.server_fallback += 1;
+        Some(Acquired {
+            uploader: fallback(),
+            hop: 0,
+            route_md: lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD,
+        })
+    }
+
+    /// The record step: the querier records who uploaded `file`.
+    /// Pollution strikes first (only fallback acquisitions resolve
+    /// through the index), a sybil hijack — drawn at `key`, the stream
+    /// position or acquisition number — otherwise. Either replaces only
+    /// the *recorded* uploader: the acquisition itself completes. A
+    /// banned peer's claim is void (the genuine uploader is credited),
+    /// a banned genuine uploader is not recorded at all, and the defense
+    /// book learns from the record's membership delta. `popularity` is
+    /// the file's current source count (RareLru's hint).
+    #[inline]
+    pub(crate) fn record(
+        &self,
+        st: &mut QueryState,
+        file: FileRef,
+        key: u64,
+        acq: Acquired,
+        popularity: u32,
+    ) {
+        if self.adv.quiet {
+            let policy = &mut st.policies[st.slot];
+            let _ = policy.record_upload_with_popularity_delta(acq.uploader, popularity);
+        } else {
+            self.record_attacked(st, file, key, acq, popularity);
+        }
+    }
+
+    /// [`QueryStep::record`] under a non-quiet adversary plan.
+    #[inline(never)]
+    fn record_attacked(
+        &self,
+        st: &mut QueryState,
+        file: FileRef,
+        key: u64,
+        acq: Acquired,
+        popularity: u32,
+    ) {
+        let adv = &self.adv;
+        let uploader = acq.uploader;
+        let policy = &mut st.policies[st.slot];
+        let mut recorded = uploader;
+        let mut polluted = false;
+        let mut hijacked = false;
+        if acq.hop == 0 {
+            if let Some(pol) = adv.plan.polluter(file.index() as u64, adv.exposure) {
+                recorded = pol;
+                polluted = true;
+            }
+        }
+        if !polluted {
+            if let Some(syb) = adv.plan.hijacker(st.querier, key) {
+                recorded = syb;
+                hijacked = true;
+            }
+        }
+        if adv.defend && (polluted || hijacked) && st.books[st.slot].banned(recorded) {
+            // A banned peer's claim is void: the querier credits the
+            // peer it actually downloaded from. The capture dies; the
+            // learning signal survives. Refusing
+            // re-admission — not expulsion — is what starves an
+            // attacker out of the overlay.
+            recorded = uploader;
+            polluted = false;
+            hijacked = false;
+        }
+        if adv.defend && st.books[st.slot].banned(recorded) {
+            // The genuine uploader itself is banned (a fallback pick can
+            // land on an attacker): nothing is recorded.
+            return;
+        }
+        if polluted {
+            st.health.polluted_acquisitions += 1;
+        } else if hijacked {
+            st.health.sybil_slots_held += 1;
+        }
+        let (added, removed) = policy.record_upload_with_popularity_delta(recorded, popularity);
+        if adv.defend {
+            let book = &mut st.books[st.slot];
+            if polluted || hijacked {
+                // Suspect any slot the adversary now holds — won by this
+                // record or refreshed by it. A record the policy
+                // rejected outright captured nothing worth scoring. A
+                // repeat capture while already on probation fires the
+                // ban outright.
+                if (added == Some(recorded) || policy.contains(recorded))
+                    && book.suspect(recorded)
+                    && policy.expel(recorded, None)
+                {
+                    st.health.reputation_evictions += 1;
+                }
+            } else if book.contains(recorded) {
+                // A genuine upload from a suspect redeems it.
+                book.redeem(recorded);
+            }
+            if let Some(rm) = removed {
+                book.remove(rm);
+            }
+        }
     }
 }
 
@@ -600,11 +1055,7 @@ pub fn simulate_arena_health_with_scratch(
         stream,
         sharer_rows,
         sharer_flat,
-        mark,
-        generation,
-        query_buf,
-        stale_prev,
-        stale_cur,
+        walk,
         policies,
         sharer_pool,
         answering,
@@ -666,9 +1117,7 @@ pub fn simulate_arena_health_with_scratch(
     }
     sharer_flat.clear();
     sharer_flat.resize(stream.len(), 0);
-    if mark.len() < n_peers {
-        mark.resize(n_peers, 0);
-    }
+    walk.ensure(n_peers);
 
     let mut result = SimResult {
         requests: 0,
@@ -679,36 +1128,30 @@ pub fn simulate_arena_health_with_scratch(
     };
     let mut health = SearchHealth::default();
 
-    // Availability: quiet schedules take none of the branches below, so
-    // the pre-churn behaviour (and RNG sequence) is preserved exactly.
+    // Availability and adversary: quiet schedules and plans take none
+    // of the step's branches and consume no RNG, so the pre-churn
+    // behaviour (and RNG sequence) is preserved exactly. Final misses
+    // route through the index backend; SingleServer is the
+    // byte-identical pre-trait path (outage check + zero-cost resolve).
     let availability = &config.availability;
     let schedule = availability.schedule(n_peers);
-    let quiet = schedule.is_quiet();
-    let query = availability.query;
-    // Adversary: a quiet plan takes none of the branches below and
-    // consumes no RNG, so honest runs are bit-identical to runs that
-    // never consulted it. The defense books are only allocated (and
-    // only consulted) when both the plan and the flag are armed, which
-    // is what makes `reputation` mechanically free on honest runs.
     let plan = AdversaryPlan::new(availability.adversary.clone(), n_peers);
-    let adv_quiet = plan.is_quiet();
-    let defend = availability.reputation && !adv_quiet;
-    let exposure = availability.backend.pollution_exposure();
-    let mut books: Vec<ReputationBook> = if defend {
-        vec![ReputationBook::default(); n_peers]
-    } else {
-        Vec::new()
-    };
-    // Final misses route through the index backend; SingleServer is the
-    // byte-identical pre-trait path (outage check + zero-cost resolve).
     let router = availability.backend.router(config.seed);
+    let step = QueryStep::new(
+        &schedule,
+        &router,
+        &plan,
+        availability,
+        config.policy,
+        sharer_pool,
+    );
+    let mut books = step.adv.books(n_peers);
     // The static stream is spread uniformly over the virtual span, in
     // milli-days (1 day = 1000 md).
     let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
     let stream_len = stream.len().max(1) as u64;
 
     for (t, &(peer, file)) in stream.iter().enumerate() {
-        let peer_idx = peer as usize;
         let (head, f_len) = sharer_rows[file.index()];
         let (head, f_len) = (head as usize, f_len as usize);
         if f_len == 0 {
@@ -719,265 +1162,86 @@ pub fn simulate_arena_health_with_scratch(
             continue;
         }
         result.requests += 1;
-
-        let base_millis = t as u64 * span_millis / stream_len;
-        let mut elapsed = 0u64;
-        let mut attempt = 0u32;
-        stale_prev.clear();
-
-        let (mut uploader, hop, day, milli) = loop {
-            health.attempted += 1;
-            if attempt > 0 {
-                health.retried += 1;
-            }
-            let now = base_millis + elapsed;
-            let day = (now / 1000) as u32;
-            let milli = (now % 1000) as u32;
-
-            // Querying loads every *online* one-hop neighbour; the same
-            // walk stamps the mark array for the membership probe
-            // below. The list is copied out first because staleness
-            // reactions mutate it mid-walk.
-            *generation += 1;
-            let mut saw_timeout = false;
-            query_buf.clear();
-            query_buf.extend_from_slice(policies[peer_idx].neighbours());
-            stale_cur.clear();
-            for &n in query_buf.iter() {
-                if !quiet && schedule.offline(n, day, milli) {
-                    // Timed out: no message delivered, no mark stamped.
-                    saw_timeout = true;
-                    health.timed_out += 1;
-                    if query.handle_stale {
-                        let streak = stale_prev
-                            .iter()
-                            .find(|&&(p, _)| p == n)
-                            .map_or(1, |&(_, s)| s + 1);
-                        stale_cur.push((n, streak));
-                        if streak >= query.stale_after.max(1) {
-                            // Only the Random policy wants a
-                            // replacement; it is drawn statelessly so
-                            // the main RNG sequence never moves.
-                            let replacement = match config.policy {
-                                PolicyKind::Random if !sharer_pool.is_empty() => {
-                                    let i =
-                                        schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                    Some(sharer_pool[i])
-                                }
-                                _ => None,
-                            };
-                            match policies[peer_idx].handle_stale(n, replacement) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                } else if !adv_quiet && plan.answers_nothing(n) {
-                    // Refused: the adversary is online and the query
-                    // costs a message, but no answer comes back and no
-                    // mark is stamped. Not a timeout — no retry or
-                    // staleness fires; only the reputation score can
-                    // clear the slot.
-                    result.messages_per_peer[n as usize] += 1;
-                    health.wasted_queries += 1;
-                    if defend && books[peer_idx].on_query(n) {
-                        let replacement = match config.policy {
-                            PolicyKind::Random if !sharer_pool.is_empty() => {
-                                let i = schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                Some(sharer_pool[i])
-                            }
-                            _ => None,
-                        };
-                        if policies[peer_idx].expel(n, replacement) {
-                            health.reputation_evictions += 1;
-                        }
-                    }
-                } else {
-                    result.messages_per_peer[n as usize] += 1;
-                    mark[n as usize] = *generation;
-                }
-            }
-            std::mem::swap(stale_prev, stale_cur);
-
+        let file_sharers = &sharer_flat[head..head + f_len];
+        let mut st = QueryState {
+            querier: peer,
+            slot: peer as usize,
+            policies,
+            books: &mut books,
+            messages: &mut result.messages_per_peer,
+            health: &mut health,
+        };
+        let start_md = t as u64 * span_millis / stream_len;
+        let run = step.attempts(&mut st, start_md, walk, |w, policies, day, milli| {
             // One-hop: does any current sharer sit among the online
             // queried neighbours? Iterating sharers (popularity-sized)
             // beats iterating the list for rare files, and is
             // equivalent.
-            let file_sharers = &sharer_flat[head..head + f_len];
-            let mut uploader: Option<Peer> = file_sharers
-                .iter()
-                .copied()
-                .find(|&s| mark[s as usize] == *generation);
-            let mut hop = 1;
-
+            let found = w.first_marked(file_sharers);
+            if found.is_some() || !config.two_hop {
+                return found.map(|s| (s, 1));
+            }
             // Two-hop: query each online neighbour's neighbours; the
-            // second-hop holder must itself be online to answer. The
-            // answer is the first relay (in list order) holding any
-            // answering sharer and, of those, the earliest to arrive.
-            // A few answering sharers are each found in a relay's list
-            // by a vectorised scan; more are stamped once with their
-            // arrival rank and each relay's list is walked once (see
-            // `TWO_HOP_SCAN_MAX`). Either way a relay costs O(list),
-            // never O(list × sharers).
-            if uploader.is_none() && config.two_hop {
-                answering.clear();
-                answering.extend(file_sharers.iter().copied().filter(|&s| {
-                    s != peer
-                        && (quiet || !schedule.offline(s, day, milli))
-                        && (adv_quiet || !plan.answers_nothing(s))
-                }));
-                let relays = query_buf
+            // second-hop holder must itself answer. The answer is the
+            // first relay (in list order) holding any answering sharer
+            // and, of those, the earliest to arrive. A few answering
+            // sharers are each found in a relay's list by a vectorised
+            // scan; more are stamped once with their arrival rank and
+            // each relay's list is walked once (see `TWO_HOP_SCAN_MAX`).
+            // Either way a relay costs O(list), never O(list × sharers).
+            answering.clear();
+            answering.extend(
+                file_sharers
                     .iter()
-                    .filter(|&&n| mark[n as usize] == *generation)
-                    .map(|&n| policies[n as usize].neighbours());
-                let found = if answering.len() <= TWO_HOP_SCAN_MAX {
-                    relays
-                        .flat_map(|list| answering.iter().copied().find(|s| list.contains(s)))
-                        .next()
-                } else {
-                    if sharer_at.len() < n_peers {
-                        sharer_at.resize(n_peers, (0, 0));
-                    }
-                    for (i, &s) in answering.iter().enumerate() {
-                        sharer_at[s as usize] = (*generation, i as u32);
-                    }
-                    relays
-                        .flat_map(|list| {
-                            list.iter()
-                                .filter_map(|&m| {
-                                    let (stamp, i) = sharer_at[m as usize];
-                                    (stamp == *generation).then_some(i)
-                                })
-                                .min()
-                        })
-                        .next()
-                        .map(|i| answering[i as usize])
-                };
-                if found.is_some() {
-                    uploader = found;
-                    hop = 2;
-                }
-            }
-
-            // Retry only when something actually timed out: a
-            // definitive miss over fully online neighbours is final.
-            if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                break (uploader, hop, day, milli);
-            }
-            elapsed += query.backoff_for(attempt);
-            attempt += 1;
-        };
-
-        let mut fell_back = false;
-        match uploader {
-            Some(_) => {
-                if hop == 1 {
-                    result.one_hop_hits += 1;
-                } else {
-                    result.two_hop_hits += 1;
-                }
-                health.answered += 1;
-                if schedule.server_out(day) {
-                    health.recovered += 1;
-                }
-            }
-            None => {
-                let lookup = router.lookup(&schedule, peer, file, day, milli);
-                health.forwarded += lookup.forwarded;
-                health.dht_hops += lookup.dht_hops;
-                if !lookup.resolved {
-                    // Overlay miss with the index unreachable: the
-                    // request strands — nothing acquired, nothing
-                    // recorded, no RNG consumed.
-                    health.stranded += 1;
-                    continue;
-                }
-                // Server fallback: a uniform current sharer uploads the
-                // file, picked statelessly from the stream position (see
-                // [`fallback_index`]). The pick is backend-agnostic —
-                // the backend decides reachability and routing cost,
-                // never *who* uploads — so zero-outage runs agree
-                // across backends, and quiet SingleServer runs stay
-                // bit-identical to the reference.
-                let pick = sharer_flat[head + fallback_index(config.seed, t as u64, f_len)];
-                health.server_fallback += 1;
-                fell_back = true;
-                uploader = Some(pick);
-            }
-        }
-
-        let uploader = uploader.expect("an uploader always exists here");
-        if adv_quiet {
-            policies[peer_idx].record_upload_with_popularity(uploader, f_len as u32);
-        } else {
-            // Pollution strikes first (only fallback acquisitions
-            // resolve through the index), a sybil hijack otherwise.
-            // Either replaces only the *recorded* uploader — the
-            // acquisition itself completes, so the sharer table below
-            // grows exactly as in the honest run.
-            let mut recorded = uploader;
-            let mut polluted = false;
-            let mut hijacked = false;
-            if fell_back {
-                if let Some(pol) = plan.polluter(file.index() as u64, exposure) {
-                    recorded = pol;
-                    polluted = true;
-                }
-            }
-            if !polluted {
-                if let Some(syb) = plan.hijacker(peer, t as u64) {
-                    recorded = syb;
-                    hijacked = true;
-                }
-            }
-            if defend && (polluted || hijacked) && books[peer_idx].banned(recorded) {
-                // A banned peer's claim is void: the querier ignores it
-                // and credits the peer it actually downloaded from. The
-                // capture dies; the learning signal survives. Refusing
-                // re-admission — not expulsion — is what starves an
-                // attacker out of the overlay.
-                recorded = uploader;
-                polluted = false;
-                hijacked = false;
-            }
-            if defend && books[peer_idx].banned(recorded) {
-                // The genuine uploader itself is banned (a fallback pick
-                // can land on an attacker): nothing is recorded.
+                    .copied()
+                    .filter(|&s| s != peer && step.answers(s, day, milli)),
+            );
+            let relays = w
+                .query_buf
+                .iter()
+                .filter(|&&n| w.mark[n as usize] == w.generation)
+                .map(|&n| policies[n as usize].neighbours());
+            let found = if answering.len() <= TWO_HOP_SCAN_MAX {
+                relays
+                    .flat_map(|list| answering.iter().copied().find(|s| list.contains(s)))
+                    .next()
             } else {
-                if polluted {
-                    health.polluted_acquisitions += 1;
-                } else if hijacked {
-                    health.sybil_slots_held += 1;
+                if sharer_at.len() < n_peers {
+                    sharer_at.resize(n_peers, (0, 0));
                 }
-                let (added, removed) =
-                    policies[peer_idx].record_upload_with_popularity_delta(recorded, f_len as u32);
-                if defend {
-                    let book = &mut books[peer_idx];
-                    if polluted || hijacked {
-                        // Suspect any slot the adversary now holds —
-                        // won by this record or refreshed by it. A
-                        // record the policy rejected outright captured
-                        // nothing worth scoring. A repeat capture while
-                        // already on probation fires the ban outright.
-                        if (added == Some(recorded) || policies[peer_idx].contains(recorded))
-                            && book.suspect(recorded)
-                            && policies[peer_idx].expel(recorded, None)
-                        {
-                            health.reputation_evictions += 1;
-                        }
-                    } else if book.contains(recorded) {
-                        // A genuine upload from a suspect redeems it.
-                        book.redeem(recorded);
-                    }
-                    if let Some(rm) = removed {
-                        book.remove(rm);
-                    }
+                for (i, &s) in answering.iter().enumerate() {
+                    sharer_at[s as usize] = (w.generation, i as u32);
                 }
-            }
+                relays
+                    .flat_map(|list| {
+                        list.iter()
+                            .filter_map(|&m| {
+                                let (stamp, i) = sharer_at[m as usize];
+                                (stamp == w.generation).then_some(i)
+                            })
+                            .min()
+                    })
+                    .next()
+                    .map(|i| answering[i as usize])
+            };
+            found.map(|s| (s, 2))
+        });
+        // Server fallback: a uniform current sharer uploads the file,
+        // picked statelessly from the stream position (see
+        // `fallback_index`). The pick is backend-agnostic — the
+        // backend decides reachability and routing cost, never *who*
+        // uploads — so zero-outage runs agree across backends, and quiet
+        // SingleServer runs stay bit-identical to the reference.
+        let fallback = || file_sharers[fallback_index(config.seed, t as u64, f_len)];
+        let Some(acq) = step.resolve(st.health, peer, file, run.found, run.at_md, fallback) else {
+            continue;
+        };
+        match acq.hop {
+            1 => result.one_hop_hits += 1,
+            2 => result.two_hop_hits += 1,
+            _ => {}
         }
+        step.record(&mut st, file, t as u64, acq, f_len as u32);
         sharer_flat[head + f_len] = peer;
         sharer_rows[file.index()].1 += 1;
     }
@@ -998,11 +1262,11 @@ pub fn simulate_arena_health_with_scratch(
 const TWO_HOP_SCAN_MAX: usize = 8;
 
 /// The original (pre-arena) implementation, kept structurally intact as
-/// a correctness oracle: `deterministic_under_seed`, the property tests
-/// and the benchmark harness all compare the arena and split-cell paths
+/// a correctness oracle: the unit tests, the property tests and
+/// `tests/search_churn.rs` compare the arena and split-cell paths
 /// against it. The only change since the seed version is the server
-/// fallback, which is now drawn statelessly from the stream position
-/// (see [`fallback_index`]) in lockstep with the optimised paths.
+/// fallback, now drawn statelessly from the stream position
+/// (`fallback_index`) in lockstep with the optimised paths.
 pub fn simulate_reference(
     caches: &[Vec<FileRef>],
     n_files: usize,
@@ -1291,6 +1555,62 @@ impl SweepPrecomp {
         self.seed
     }
 
+    /// Querier `p`'s requests, in stream order.
+    pub(crate) fn requests_of(&self, p: u32) -> &[QueryRec] {
+        let lo = self.queries_off[p as usize] as usize;
+        let hi = self.queries_off[p as usize + 1] as usize;
+        &self.queries[lo..hi]
+    }
+
+    /// The requested file's sharers when `rec` is consumed, in arrival
+    /// order.
+    #[inline]
+    pub(crate) fn prefix(&self, rec: &QueryRec) -> &[Peer] {
+        &self.arrivals[rec.off as usize..rec.off as usize + rec.rank as usize]
+    }
+
+    /// `rec`'s server-fallback uploader: the stateless
+    /// `fallback_index` pick over its sharer prefix.
+    #[inline]
+    pub(crate) fn fallback(&self, rec: &QueryRec) -> Peer {
+        let prefix = self.prefix(rec);
+        prefix[fallback_index(self.seed, u64::from(rec.t), prefix.len())]
+    }
+
+    /// The quiet one-hop probe of the split and serve paths: the list
+    /// member with the minimal arrival rank below `rec.rank` — the same
+    /// uploader a scan of the sharer prefix for the first member finds.
+    /// Popular files (a prefix over [`MEMBER_MAJOR_CUTOFF`] times
+    /// `n_members` long) look each of `members` up in its arena row;
+    /// rare files scan the prefix with `is_member`.
+    #[inline]
+    pub(crate) fn quiet_hit(
+        &self,
+        arena: &CacheArena,
+        rec: &QueryRec,
+        n_members: usize,
+        members: impl IntoIterator<Item = Peer>,
+        is_member: impl Fn(Peer) -> bool,
+    ) -> Option<Peer> {
+        let r = rec.rank as usize;
+        if r <= MEMBER_MAJOR_CUTOFF * n_members.max(1) {
+            return self.prefix(rec).iter().copied().find(|&s| is_member(s));
+        }
+        let (files, offsets) = arena.as_csr_parts();
+        let mut best: Option<(u32, Peer)> = None;
+        members.into_iter().for_each(|m| {
+            let lo = offsets[m as usize] as usize;
+            let hi = offsets[m as usize + 1] as usize;
+            if let Ok(pos) = files[lo..hi].binary_search(&rec.file) {
+                let rk = self.rank_by[lo + pos];
+                if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
+                    best = Some((rk, m));
+                }
+            }
+        });
+        best.map(|(_, m)| m)
+    }
+
     /// Requests issued by queriers in `[lo, hi)` — the scheduler's cost
     /// estimate for a subtask.
     pub fn requests_in(&self, lo: u32, hi: u32) -> u64 {
@@ -1322,26 +1642,21 @@ impl SweepPrecomp {
 }
 
 /// Per-worker scratch for [`simulate_cell_range`]: one pooled policy
-/// (renewed per querier), the churn-path walk buffers, and the quiet
+/// (renewed per querier), the churn path's walk buffers, and the quiet
 /// path's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
     policy: Option<AnyPolicy>,
     /// Quiet path: `start_of[p]` is the request index at which member
     /// `p` became queryable — messages are settled per *interval* on
-    /// eviction instead of per request. Only meaningful while `p` is
-    /// marked with the current generation.
+    /// eviction instead of per request. Only meaningful while `p` is a
+    /// list member.
     start_of: Vec<u32>,
-    /// Membership marks: `mark[p] == generation` ⇔ `p` is currently a
-    /// list member (quiet path) or an online, queried neighbour (churn
-    /// path). Maintained incrementally from the policy's upload deltas
-    /// on the quiet path, so the hot hit check is one array load.
-    mark: Vec<u64>,
+    /// Quiet path: the stamp that invalidates [`QuietState`]'s History
+    /// counters between queriers.
     generation: u64,
-    query_buf: Vec<Peer>,
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
     quiet: QuietState,
+    walk: WalkScratch,
 }
 
 impl SplitScratch {
@@ -1356,12 +1671,14 @@ const NO_PEER: u32 = u32::MAX;
 
 /// Peer-indexed policy state for the quiet split path.
 ///
-/// The `neighbours` policies hash every membership test and `memmove`
-/// every head insert; amortised over ~10⁵ requests per cell that is
-/// most of a sweep's runtime. This mirror keeps the identical delta
-/// semantics (pinned by the split determinism tests) with O(1) LRU
-/// updates over intrusive recency links and generation-stamped History
-/// counters — no hashing, no per-querier clearing. All per-peer arrays
+/// The `neighbours` policies scan their list for every membership test,
+/// `memmove` every head insert and (History) hash every counter
+/// update; amortised over ~10⁵ requests per cell that is most of a
+/// sweep's runtime. This mirror keeps the identical delta semantics
+/// (pinned by the split determinism tests) with a membership bitset,
+/// O(1) LRU updates over intrusive recency links and
+/// generation-stamped History counters — no scans, no hashing, no
+/// per-querier clearing. All per-peer arrays
 /// are valid only where stamped with the scratch's current generation.
 #[derive(Debug, Default)]
 struct QuietState {
@@ -1535,20 +1852,19 @@ impl QuietState {
         }
     }
 
-    /// Visits every current member (order is irrelevant to callers:
-    /// min-rank probes and interval settling are order-free).
+    /// Every current member, in no particular order (the min-rank probe
+    /// is order-free).
     #[inline]
-    fn for_each_member(&self, kind: QuietKind, mut f: impl FnMut(u32)) {
-        match kind {
-            QuietKind::History => self.list.iter().for_each(|&m| f(m)),
-            _ => {
-                let mut m = self.head;
-                while m != NO_PEER {
-                    f(m);
-                    m = self.next[m as usize];
-                }
-            }
-        }
+    fn members(&self, kind: QuietKind) -> impl Iterator<Item = u32> + '_ {
+        let (list, head) = match kind {
+            QuietKind::History => (&self.list[..], NO_PEER),
+            _ => (&[][..], self.head),
+        };
+        let linked = std::iter::successors((head != NO_PEER).then_some(head), |&m| {
+            let next = self.next[m as usize];
+            (next != NO_PEER).then_some(next)
+        });
+        list.iter().copied().chain(linked)
     }
 
     /// End-of-querier settling walk: visits every member while clearing
@@ -1626,21 +1942,7 @@ impl CellPartial {
         for (dst, &src) in self.messages.iter_mut().zip(&other.messages) {
             *dst += src;
         }
-        self.health.attempted += other.health.attempted;
-        self.health.answered += other.health.answered;
-        self.health.timed_out += other.health.timed_out;
-        self.health.retried += other.health.retried;
-        self.health.evicted_stale += other.health.evicted_stale;
-        self.health.probed_stale += other.health.probed_stale;
-        self.health.server_fallback += other.health.server_fallback;
-        self.health.stranded += other.health.stranded;
-        self.health.recovered += other.health.recovered;
-        self.health.forwarded += other.health.forwarded;
-        self.health.dht_hops += other.health.dht_hops;
-        self.health.wasted_queries += other.health.wasted_queries;
-        self.health.sybil_slots_held += other.health.sybil_slots_held;
-        self.health.polluted_acquisitions += other.health.polluted_acquisitions;
-        self.health.reputation_evictions += other.health.reputation_evictions;
+        self.health += &other.health;
         self.intersect_ns += other.intersect_ns;
         self.update_ns += other.update_ns;
     }
@@ -1674,41 +1976,32 @@ pub fn simulate_cell_range(
 ) -> CellPartial {
     debug_assert!(split_eligible(config), "cell must be split-eligible");
     debug_assert_eq!(config.seed, pre.seed, "precomp seed must match the cell");
-    let mut part = CellPartial {
-        one_hop_hits: 0,
-        messages: vec![0; pre.n_peers],
-        health: SearchHealth::default(),
-        intersect_ns: 0,
-        update_ns: 0,
-    };
+    let mut part = CellPartial::empty(pre.n_peers);
     let quiet = config.availability.is_quiet();
+    // Split cells have a quiet adversary plan, a single server and no
+    // Random lists, so the step's plan, router and pool cost nothing.
+    let plan = AdversaryPlan::new(config.availability.adversary.clone(), pre.n_peers);
+    let router = config.availability.backend.router(config.seed);
+    let step = QueryStep::new(
+        schedule,
+        &router,
+        &plan,
+        &config.availability,
+        config.policy,
+        &[],
+    );
     for p in peers.0..peers.1 {
-        let lo = pre.queries_off[p as usize] as usize;
-        let hi = pre.queries_off[p as usize + 1] as usize;
-        if lo == hi {
+        let requests = pre.requests_of(p);
+        if requests.is_empty() {
             continue;
         }
-        let requests = &pre.queries[lo..hi];
         if quiet {
             simulate_querier_quiet(arena, pre, config, requests, scratch, profile, &mut part);
         } else {
-            simulate_querier_churn(pre, config, schedule, requests, scratch, profile, &mut part);
+            simulate_querier_churn(pre, config, &step, p, scratch, profile, &mut part);
         }
     }
     part
-}
-
-/// Renews the pooled split-path policy for the next querier. Split
-/// cells exclude the Random policy, so construction never draws RNG.
-fn renew_split_policy<'a>(
-    slot: &'a mut Option<AnyPolicy>,
-    config: &SimConfig,
-) -> &'a mut AnyPolicy {
-    match slot {
-        Some(policy) => policy.renew_adaptive(config.policy, config.list_size),
-        None => *slot = Some(AnyPolicy::new_adaptive(config.policy, config.list_size)),
-    }
-    slot.as_mut().expect("slot was just filled")
 }
 
 /// Member-major hit check cutoff: prefer probing the (≤ list-size)
@@ -1716,7 +2009,7 @@ fn renew_split_policy<'a>(
 /// times longer than the list. Purely a cost heuristic — both probes
 /// return the member with the minimal arrival rank, i.e. the same
 /// uploader the sequential sharer-order scan finds.
-pub(crate) const MEMBER_MAJOR_CUTOFF: usize = 128;
+const MEMBER_MAJOR_CUTOFF: usize = 128;
 
 /// Quiet-regime querier replay: interval-settled messages, rank-based
 /// hit checks, no walk buffers.
@@ -1742,7 +2035,6 @@ fn simulate_querier_quiet(
         PolicyKind::Random => unreachable!("Random cells are split-ineligible"),
     };
     let cap = config.list_size;
-    let (arena_files, arena_offsets) = arena.as_csr_parts();
     if start_of.len() < pre.n_peers {
         start_of.resize(pre.n_peers, 0);
     }
@@ -1751,33 +2043,18 @@ fn simulate_querier_quiet(
     let generation = *generation;
     for (q, rec) in requests.iter().enumerate() {
         let q = q as u32;
-        let file = rec.file;
         let r = rec.rank as usize;
-        let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
 
-        // One-hop hit: the member with the minimal arrival rank below
-        // `r` — identical to scanning the sharer list (which *is*
-        // `prefix`) for the first member. Popular files probe
-        // member-major via the arena; rare files scan the prefix, with
-        // membership one array load (the marks mirror the list via the
-        // upload deltas below).
+        // One-hop hit; membership is one bit load (the bits mirror the
+        // list via the upload deltas below).
         let t0 = profile.then(Instant::now);
-        let uploader = if r > MEMBER_MAJOR_CUTOFF * quiet.member_count(kind).max(1) {
-            let mut best: Option<(u32, Peer)> = None;
-            quiet.for_each_member(kind, |m| {
-                let row_lo = arena_offsets[m as usize] as usize;
-                let row_hi = arena_offsets[m as usize + 1] as usize;
-                if let Ok(pos) = arena_files[row_lo..row_hi].binary_search(&file) {
-                    let rk = pre.rank_by[row_lo + pos];
-                    if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
-                        best = Some((rk, m));
-                    }
-                }
-            });
-            best.map(|(_, m)| m)
-        } else {
-            prefix.iter().copied().find(|&s| quiet.is_member(s))
-        };
+        let uploader = pre.quiet_hit(
+            arena,
+            rec,
+            quiet.member_count(kind),
+            quiet.members(kind),
+            |s| quiet.is_member(s),
+        );
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -1791,7 +2068,7 @@ fn simulate_querier_quiet(
             }
             None => {
                 part.health.server_fallback += 1;
-                prefix[fallback_index(pre.seed, u64::from(rec.t), r)]
+                pre.fallback(rec)
             }
         };
 
@@ -1827,113 +2104,55 @@ fn simulate_querier_quiet(
     });
 }
 
-/// Churn-regime querier replay: the full timeout/retry/staleness walk of
-/// the whole-cell path, restricted to one querier. Message accounting is
-/// immediate (attempts differ per request, so intervals don't apply);
-/// hit checks consult the mark array stamped during the walk, exactly
-/// like the sequential path.
+/// Churn-regime querier replay: the shared query step, restricted to
+/// one querier. Message accounting is immediate (attempts differ per
+/// request, so intervals don't apply).
 fn simulate_querier_churn(
     pre: &SweepPrecomp,
     config: &SimConfig,
-    schedule: &ChurnSchedule,
-    requests: &[QueryRec],
+    step: &QueryStep,
+    querier: Peer,
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
 ) {
-    let policy = renew_split_policy(&mut scratch.policy, config);
-    if scratch.mark.len() < pre.n_peers {
-        scratch.mark.resize(pre.n_peers, 0);
-    }
-    let availability = &config.availability;
-    let query = availability.query;
-    let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
+    // Split cells exclude the Random policy, so construction never
+    // draws RNG.
+    let (kind, size) = (config.policy, config.list_size);
+    let policy = scratch
+        .policy
+        .get_or_insert_with(|| AnyPolicy::new_adaptive(kind, size));
+    policy.renew_adaptive(kind, size);
+    let walk = &mut scratch.walk;
+    walk.ensure(pre.n_peers);
+    let span_millis = u64::from(config.availability.virtual_days.max(1)) * 1000;
     let stream_len = pre.stream.len().max(1) as u64;
 
-    for rec in requests {
-        let t = rec.t;
-        let r = rec.rank as usize;
-        let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-
-        let base_millis = u64::from(t) * span_millis / stream_len;
-        let mut elapsed = 0u64;
-        let mut attempt = 0u32;
-        scratch.stale_prev.clear();
-
-        let uploader = loop {
-            part.health.attempted += 1;
-            if attempt > 0 {
-                part.health.retried += 1;
-            }
-            let now = base_millis + elapsed;
-            let day = (now / 1000) as u32;
-            let milli = (now % 1000) as u32;
-
-            scratch.generation += 1;
-            let mut saw_timeout = false;
-            scratch.query_buf.clear();
-            scratch.query_buf.extend_from_slice(policy.neighbours());
-            scratch.stale_cur.clear();
-            let t0 = profile.then(Instant::now);
-            for &n in scratch.query_buf.iter() {
-                if schedule.offline(n, day, milli) {
-                    saw_timeout = true;
-                    part.health.timed_out += 1;
-                    if query.handle_stale {
-                        let streak = scratch
-                            .stale_prev
-                            .iter()
-                            .find(|&&(p, _)| p == n)
-                            .map_or(1, |&(_, s)| s + 1);
-                        scratch.stale_cur.push((n, streak));
-                        if streak >= query.stale_after.max(1) {
-                            // Random is split-ineligible, so no
-                            // replacement is ever drawn here.
-                            match policy.handle_stale(n, None) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    part.health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => part.health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                } else {
-                    part.messages[n as usize] += 1;
-                    scratch.mark[n as usize] = scratch.generation;
-                }
-            }
-            std::mem::swap(&mut scratch.stale_prev, &mut scratch.stale_cur);
-            let uploader: Option<Peer> = prefix
-                .iter()
-                .copied()
-                .find(|&s| scratch.mark[s as usize] == scratch.generation);
-            if let Some(t0) = t0 {
-                part.intersect_ns += t0.elapsed().as_nanos() as u64;
-            }
-
-            if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                break uploader;
-            }
-            elapsed += query.backoff_for(attempt);
-            attempt += 1;
-        };
-
-        let uploader = match uploader {
-            Some(u) => {
-                part.one_hop_hits += 1;
-                part.health.answered += 1;
-                u
-            }
-            None => {
-                // No outage days on the split path, so the fallback
-                // server is always up: nothing strands.
-                part.health.server_fallback += 1;
-                prefix[fallback_index(pre.seed, u64::from(t), r)]
-            }
+    for rec in pre.requests_of(querier) {
+        let prefix = pre.prefix(rec);
+        let mut st = QueryState {
+            querier,
+            slot: 0,
+            policies: std::slice::from_mut(&mut *policy),
+            books: &mut [],
+            messages: &mut part.messages,
+            health: &mut part.health,
         };
         let t0 = profile.then(Instant::now);
-        let _ = policy.record_upload_with_popularity_delta(uploader, r as u32);
+        let start_md = u64::from(rec.t) * span_millis / stream_len;
+        let run = step.attempts(&mut st, start_md, walk, |w, _, _, _| {
+            w.first_marked(prefix).map(|s| (s, 1))
+        });
+        if let Some(t0) = t0 {
+            part.intersect_ns += t0.elapsed().as_nanos() as u64;
+        }
+        let fallback = || pre.fallback(rec);
+        let acq = step
+            .resolve(st.health, querier, rec.file, run.found, run.at_md, fallback)
+            .expect("split cells have no outage days, so nothing strands");
+        part.one_hop_hits += u64::from(acq.hop == 1);
+        let t0 = profile.then(Instant::now);
+        step.record(&mut st, rec.file, u64::from(rec.t), acq, rec.rank);
         if let Some(t0) = t0 {
             part.update_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -2314,6 +2533,40 @@ mod tests {
         };
         let err = bad.reconcile(5, 5, 0).unwrap_err();
         assert!(err.contains("fallback lookup"), "{err}");
+    }
+
+    /// A ledger whose `i`-th field is `2^(i + shift)`.
+    fn powers(shift: u32) -> SearchHealth {
+        let bit = |i: u32| 1u64 << (i + shift);
+        SearchHealth {
+            attempted: bit(0),
+            answered: bit(1),
+            timed_out: bit(2),
+            retried: bit(3),
+            evicted_stale: bit(4),
+            probed_stale: bit(5),
+            server_fallback: bit(6),
+            stranded: bit(7),
+            recovered: bit(8),
+            forwarded: bit(9),
+            dht_hops: bit(10),
+            wasted_queries: bit(11),
+            sybil_slots_held: bit(12),
+            polluted_acquisitions: bit(13),
+            reputation_evictions: bit(14),
+        }
+    }
+
+    #[test]
+    fn health_sum_adds_every_field_to_itself() {
+        // Distinct powers of two: a field left out of the sum keeps
+        // 2^i, and a field summed into the wrong one lands on a
+        // different bit — either way the total is not 2^(i + 1).
+        let mut sum = powers(0);
+        sum += &powers(0);
+        assert_eq!(sum, powers(1));
+        sum += &SearchHealth::default();
+        assert_eq!(sum, powers(1));
     }
 
     #[test]

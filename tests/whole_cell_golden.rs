@@ -5,11 +5,11 @@
 //! two-hop search or Random lists run whole on one thread
 //! (`simulate_arena_health_with_scratch`); churned split-eligible cells
 //! run querier by querier (`simulate_cell_range`); churned serve
-//! replays and the live overlay each walk their own copy of the query
-//! step. These tests pin every output of those kernels at the bench
-//! crate's `Scale::Test` workload: the `SimResult` (per-peer message
-//! loads included), the `SearchHealth` ledger and, where the kernel
-//! exposes them, the final neighbour lists.
+//! replays and the live overlay run the same query step with their own
+//! clock and probe. These tests pin every output of those kernels at
+//! the bench crate's `Scale::Test` workload: the `SimResult` (per-peer
+//! message loads included), the `SearchHealth` ledger and, where the
+//! kernel exposes them, the final neighbour lists.
 //!
 //! A digest mismatch means a kernel's output changed. That is only
 //! acceptable as a deliberate model change, in which case the new
@@ -19,6 +19,7 @@ use std::sync::OnceLock;
 
 use edonkey_repro::semsearch::experiment::sweep_cells_threads;
 use edonkey_repro::semsearch::index::IndexBackend;
+use edonkey_repro::semsearch::neighbours::PolicyKind;
 use edonkey_repro::semsearch::overlay::{simulate_overlay_health, OverlayConfig, OverlayDayStats};
 use edonkey_repro::semsearch::serve::{
     serve_arena_threads, ArrivalConfig, ServeConfig, ServeReport,
@@ -365,17 +366,37 @@ fn churned_serve_replay_is_pinned() {
 }
 
 #[test]
-fn churned_overlay_is_pinned() {
+fn adversarial_bounded_serve_replay_is_pinned() {
+    // Bounded service makes queries wait, so service instants drift
+    // from the batch instants: the one serve path the unconstrained
+    // serve-vs-batch differentials never reach.
+    let availability = churn()
+        .with_adversary(AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50))
+        .with_reputation();
+    let sim = SimConfig::history(20)
+        .with_seed(SEED)
+        .with_availability(availability);
+    let config = ServeConfig::new(sim).with_service(20, usize::MAX, 2);
+    let report = serve_arena_threads(arena(), &config, 2);
+    let search = &report.health.search;
+    assert!(report.health.deferred > 0 && search.timed_out > 0);
+    assert!(search.wasted_queries > 0 && search.sybil_slots_held > 0);
+    assert_digest(
+        "serve History-20 churn adversary bounded",
+        serve_digest(&report),
+        0x97da_cca0_8374_bf21,
+    );
+}
+
+/// Runs the live overlay over the first eight days of the test-scale
+/// ground truth and digests its day stats and ledger.
+fn overlay(config: &OverlayConfig) -> (u64, SearchHealth) {
     let population = Population::generate(test_scale());
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x11fe);
     let truth = Dynamics::new(&population, &mut rng).run(&mut rng);
     let days = &truth.days[..truth.days.len().min(8)];
-    let availability = churn_outages()
-        .with_adversary(AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50))
-        .with_reputation();
-    let config = OverlayConfig::lru(20).with_availability(availability);
     let (stats, health) =
-        simulate_overlay_health(days, truth.start_day, population.files.len(), &config);
+        simulate_overlay_health(days, truth.start_day, population.files.len(), config);
     let mut d = Digest::new();
     for &OverlayDayStats {
         day,
@@ -385,10 +406,40 @@ fn churned_overlay_is_pinned() {
     {
         d.u64(u64::from(day)).u64(requests).u64(hits);
     }
-    d.health(&health);
+    (d.health(&health).finish(), health)
+}
+
+#[test]
+fn churned_overlay_is_pinned() {
+    let availability = churn_outages()
+        .with_adversary(AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50))
+        .with_reputation();
+    let config = OverlayConfig::lru(20).with_availability(availability);
     assert_digest(
         "overlay LRU-20 churn outages adversary",
-        d.finish(),
+        overlay(&config).0,
         0x729a_1ca3_f063_2351,
+    );
+}
+
+#[test]
+fn random_overlay_probe_after_staleness_is_pinned() {
+    // The overlay probes the list *after* the staleness and reputation
+    // reactions, so a Random replacement drawn mid-walk can answer the
+    // same attempt; the batch walk never stamps such a replacement.
+    let availability = churn()
+        .with_adversary(AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50))
+        .with_reputation();
+    let config = OverlayConfig {
+        policy: PolicyKind::Random,
+        ..OverlayConfig::lru(20)
+    }
+    .with_availability(availability);
+    let (digest, health) = overlay(&config);
+    assert!(health.evicted_stale > 0 && health.wasted_queries > 0);
+    assert_digest(
+        "overlay Random-20 churn adversary",
+        digest,
+        0x487f_7601_1670_634e,
     );
 }
