@@ -38,9 +38,15 @@
 //! **One query step.** A served query runs the batch simulator's query
 //! step — the same walk, attempt loop, miss resolution and adversarial
 //! record step (`sim::QueryStep`, DESIGN.md §7) — clocked from its
-//! *service* instant instead of the batch instant. Quiet cells take
-//! the split path's interval-settled shortcut with the same rank-based
-//! one-hop probe.
+//! *service* instant instead of the batch instant. Quiet cells run
+//! the split path's kernel itself (`sim::simulate_querier_quiet`), in
+//! two passes.
+//! Without churn, adversaries or outages a query's outcome does not
+//! depend on its service instant (the index reads the day only on
+//! outage days); only the queue decides which queries are shed and how
+//! long each waits. So the tick loop first records each served query
+//! and its wait, then each querier's served queries replay back to
+//! back, in service order, through the kernel.
 //!
 //! **Differential contract** (pinned by `tests/service_mode.rs` and
 //! the service proptest): with unbounded queues and the identity
@@ -66,10 +72,10 @@ use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
 use edonkey_workload::churn::{days_covering, ChurnSchedule};
 
-use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer};
+use crate::neighbours::{AnyPolicy, Peer};
 use crate::sim::{
-    AdversaryPlan, QueryRec, QueryState, QueryStep, SearchHealth, SimConfig, SimResult,
-    SweepPrecomp, WalkScratch,
+    simulate_querier_quiet, AdversaryPlan, CellPartial, QueryRec, QueryState, QueryStep,
+    SearchHealth, SimConfig, SimResult, SplitScratch, SweepPrecomp,
 };
 
 /// One overlay query round trip (ask the neighbours, hear back), in
@@ -422,56 +428,12 @@ struct Arrival {
     rec: QueryRec,
 }
 
-/// Quiet-path mirror of one querier's list: members sorted by id for
-/// O(log L) membership, each carrying the querier-local request index
-/// from which it has been queryable — the split path's interval
-/// message accounting ([`crate::sim::SplitScratch`]), kept per querier
-/// because a shard interleaves thousands of them.
-#[derive(Clone, Debug, Default)]
-struct QuerierState {
-    members: Vec<Peer>,
-    starts: Vec<u32>,
-    served: u32,
-    init: bool,
-}
-
-impl QuerierState {
-    /// Adopts the policy's initial list (non-empty only for Random).
-    fn ensure_init(&mut self, list: &[Peer]) {
-        if !self.init {
-            self.members = list.to_vec();
-            self.members.sort_unstable();
-            self.starts = vec![0; self.members.len()];
-            self.init = true;
-        }
-    }
-
-    #[inline]
-    fn is_member(&self, p: Peer) -> bool {
-        self.members.binary_search(&p).is_ok()
-    }
-
-    fn add(&mut self, p: Peer, start: u32) {
-        let i = self.members.binary_search(&p).unwrap_err();
-        self.members.insert(i, p);
-        self.starts.insert(i, start);
-    }
-
-    fn remove(&mut self, p: Peer) -> u32 {
-        let i = self
-            .members
-            .binary_search(&p)
-            .expect("removed peer is a member");
-        self.members.remove(i);
-        self.starts.remove(i)
-    }
-}
-
 /// One shard's complete outcome; merging in shard order reproduces the
-/// engine's report for any thread count.
+/// engine's report for any thread count. `part` is the overlay plane's
+/// side (hits, messages, the [`SearchHealth`] that ends up in
+/// `health.search`), the same partial a split sweep fills.
 struct ShardOutcome {
-    one_hop_hits: u64,
-    messages: Vec<u64>,
+    part: CellPartial,
     health: ServeHealth,
     latency: LatencyHistogram,
     last_tick: u64,
@@ -552,14 +514,16 @@ pub fn serve_arena_threads(
     let outcomes: Vec<ShardOutcome> = parallel_map_init_threads(
         &tasks,
         threads.max(1),
-        WalkScratch::default,
-        |walk, (shard, range, slot)| {
+        SplitScratch::new,
+        |scratch, (shard, range, slot)| {
             let policies = slot
                 .lock()
                 .expect("shard input lock")
                 .take()
                 .expect("each shard input is taken exactly once");
-            run_shard(arena, &pre, config, &step, *shard, *range, policies, walk)
+            run_shard(
+                arena, &pre, config, &step, *shard, *range, policies, scratch,
+            )
         },
     );
 
@@ -577,9 +541,9 @@ pub fn serve_arena_threads(
     let mut shard_max_depth = Vec::with_capacity(outcomes.len());
     let mut shard_last_tick = Vec::with_capacity(outcomes.len());
     let mut lists = Vec::with_capacity(n_peers);
-    for out in &outcomes {
-        result.one_hop_hits += out.one_hop_hits;
-        for (dst, &src) in result.messages_per_peer.iter_mut().zip(&out.messages) {
+    for out in outcomes {
+        result.one_hop_hits += out.part.one_hop_hits;
+        for (dst, &src) in result.messages_per_peer.iter_mut().zip(&out.part.messages) {
             *dst += src;
         }
         health.merge(&out.health);
@@ -587,7 +551,7 @@ pub fn serve_arena_threads(
         shard_load.push(out.health.served);
         shard_max_depth.push(out.health.max_queue_depth);
         shard_last_tick.push(out.last_tick);
-        lists.extend(out.lists.iter().cloned());
+        lists.extend(out.lists);
     }
     debug_assert!(health
         .reconcile(result.requests, result.one_hop_hits)
@@ -605,6 +569,15 @@ pub fn serve_arena_threads(
 
 /// Replays one shard: builds its timed arrivals, runs the tick loop,
 /// and reconciles the shard's partial ledger before returning it.
+///
+/// Churned and adversarial cells run the query step inside the tick
+/// loop, clocked from each query's service instant. Quiet cells run in
+/// two passes. Without churn, adversaries or outages a query's outcome
+/// does not depend on its service instant (the index reads the day only
+/// on outage days), so the tick loop only decides which queries are
+/// served and how long each waits. Then each querier's served queries
+/// replay back to back, in service order, through the split path's
+/// kernel, which also emits the querier's final list.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     arena: &CacheArena,
@@ -614,21 +587,20 @@ fn run_shard(
     shard: usize,
     (lo, hi): (u32, u32),
     mut policies: Vec<AnyPolicy>,
-    walk: &mut WalkScratch,
+    scratch: &mut SplitScratch,
 ) -> ShardOutcome {
     let sim = &config.sim;
     let tick_md = config.tick_md.max(1);
     let process = ArrivalProcess::new(config.arrival);
-    let span_millis = u64::from(sim.availability.virtual_days.max(1)) * 1000;
-    let stream_len = pre.stream.len().max(1) as u64;
+    let virtual_days = sim.availability.virtual_days;
 
     // Timed arrivals for this shard's queriers, in service order:
     // `(arrival instant, stream position)` — the position tie-break
     // keeps the order total and deterministic.
-    let mut arrivals: Vec<Arrival> = Vec::new();
+    let mut arrivals: Vec<Arrival> = Vec::with_capacity(pre.requests_in(lo, hi) as usize);
     for p in lo..hi {
         for &rec in pre.requests_of(p) {
-            let base_md = u64::from(rec.t) * span_millis / stream_len;
+            let base_md = pre.batch_md(&rec, virtual_days);
             let arr_md = process.arrival_md(p, base_md / tick_md, base_md);
             arrivals.push(Arrival {
                 arr_md,
@@ -640,18 +612,19 @@ fn run_shard(
     arrivals.sort_unstable_by_key(|a| (a.arr_md, a.rec.t));
 
     let mut out = ShardOutcome {
-        one_hop_hits: 0,
-        messages: vec![0; pre.n_peers],
+        part: CellPartial::empty(pre.n_peers),
         health: ServeHealth::default(),
         latency: LatencyHistogram::new(),
         last_tick: 0,
         lists: Vec::new(),
     };
     let quiet = sim.availability.is_quiet();
+    // Quiet cells: each served query with its wait, in service order.
+    let mut served: Vec<(Arrival, u64)> = Vec::new();
     // Reputation books are querier-local (like the policies), so the
     // shard partition carries the whole defense state.
     let mut books = step.adv.books((hi - lo) as usize);
-    let mut states: Vec<QuerierState> = vec![QuerierState::default(); (hi - lo) as usize];
+    let walk = &mut scratch.walk;
     walk.ensure(pre.n_peers);
 
     // The tick loop: enqueue this tick's arrivals (shedding past the
@@ -685,110 +658,104 @@ fn run_shard(
                 out.health.deferred += 1;
                 out.health.deferred_ticks += wait_ticks;
             }
-            let service_md = arrival.arr_md + wait_ticks * tick_md;
+            out.health.served += 1;
             let wait_md = wait_ticks * tick_md;
-            let slot = (arrival.querier - lo) as usize;
+            if quiet {
+                served.push((arrival, wait_md));
+                continue;
+            }
+            // The shared query step, clocked from the service instant
+            // (the batch instant exactly when the query never waited).
+            // Latency: a round trip per attempt, the backoff the
+            // retries slept and the final miss's routing cost.
+            let service_md = arrival.arr_md + wait_md;
+            let rec = &arrival.rec;
             let mut st = QueryState {
                 querier: arrival.querier,
-                slot,
+                slot: (arrival.querier - lo) as usize,
                 policies: &mut policies,
                 books: &mut books,
-                messages: &mut out.messages,
-                health: &mut out.health.search,
+                messages: &mut out.part.messages,
+                health: &mut out.part.health,
             };
-            let (walk_md, hit) = if quiet {
-                serve_query_quiet(
-                    arena,
-                    pre,
-                    step,
-                    &arrival.rec,
-                    service_md,
-                    &mut st,
-                    &mut states[slot],
+            let prefix = pre.prefix(rec);
+            let run = step.attempts(&mut st, service_md, walk, |w, _, _, _| {
+                w.first_marked(prefix).map(|s| (s, 1))
+            });
+            let fallback = || pre.fallback(rec);
+            let acq = step
+                .resolve(
+                    st.health, st.querier, rec.file, run.found, run.at_md, fallback,
                 )
-            } else {
-                // The shared query step, clocked from the service instant
-                // (the batch instant exactly when the query never
-                // waited). Latency: a round trip per attempt, the backoff
-                // the retries slept and the final miss's routing cost.
-                let rec = &arrival.rec;
-                let prefix = pre.prefix(rec);
-                let run = step.attempts(&mut st, service_md, walk, |w, _, _, _| {
-                    w.first_marked(prefix).map(|s| (s, 1))
-                });
-                let fallback = || pre.fallback(rec);
-                let acq = step
-                    .resolve(
-                        st.health, st.querier, rec.file, run.found, run.at_md, fallback,
-                    )
-                    .expect("service mode has no outages, so every lookup resolves");
-                step.record(&mut st, rec.file, u64::from(rec.t), acq, rec.rank);
-                let rtts = u64::from(run.count) * QUERY_RTT_MD;
-                (rtts + run.elapsed + acq.route_md, acq.hop == 1)
-            };
-            out.one_hop_hits += u64::from(hit);
-            out.health.served += 1;
-            out.latency.record(wait_md + walk_md);
+                .expect("service mode has no outages, so every lookup resolves");
+            step.record(&mut st, rec.file, u64::from(rec.t), acq, rec.rank);
+            out.part.one_hop_hits += u64::from(acq.hop == 1);
+            let rtts = u64::from(run.count) * QUERY_RTT_MD;
+            out.latency
+                .record(wait_md + rtts + run.elapsed + acq.route_md);
         }
     }
     out.last_tick = tick;
 
-    // Settle members still listed at the end of every querier's served
-    // stream (quiet-path interval accounting; no-op under churn, where
-    // messages are immediate).
-    for state in &states {
-        for (m, &start) in state.members.iter().zip(&state.starts) {
-            out.messages[*m as usize] += u64::from(state.served - start);
+    if quiet {
+        // A counting sort by querier slot keeps each querier's served
+        // queries in service order, with their `(service instant,
+        // queue wait)`.
+        let n = policies.len();
+        let mut off = vec![0u32; n + 1];
+        for (a, _) in &served {
+            off[(a.querier - lo) as usize + 1] += 1;
         }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut cursor = off[..n].to_vec();
+        let mut recs = vec![QueryRec::BLANK; served.len()];
+        let mut times = vec![(0u64, 0u64); served.len()];
+        for &(a, wait_md) in &served {
+            let i = &mut cursor[(a.querier - lo) as usize];
+            recs[*i as usize] = a.rec;
+            times[*i as usize] = (a.arr_md + wait_md, wait_md);
+            *i += 1;
+        }
+        let latency = &mut out.latency;
+        for (slot, policy) in policies.iter().enumerate() {
+            let querier = lo + slot as u32;
+            let (a, b) = (off[slot] as usize, off[slot + 1] as usize);
+            let (recs, times) = (&recs[a..b], &times[a..b]);
+            // Latency: the queue wait, one round trip and a final miss's
+            // routing cost.
+            let resolve = |q: usize, rec: &QueryRec, found: Option<Peer>, health: &mut _| {
+                let (service_md, wait_md) = times[q];
+                let found = found.map(|u| (u, 1));
+                let acq = step
+                    .resolve(health, querier, rec.file, found, service_md, || {
+                        pre.fallback(rec)
+                    })
+                    .expect("service mode has no outages, so every lookup resolves");
+                latency.record(wait_md + QUERY_RTT_MD + acq.route_md);
+                acq.uploader
+            };
+            // Random's seeded list goes in, the final list comes out.
+            let mut list = policy.snapshot();
+            let (part, list_io) = (&mut out.part, Some(&mut list));
+            simulate_querier_quiet(
+                arena, pre, sim, recs, scratch, false, part, resolve, list_io,
+            );
+            out.lists.push(list);
+        }
+    } else {
+        out.lists = policies.iter().map(AnyPolicy::snapshot).collect();
     }
-    out.lists = policies.iter().map(AnyPolicy::snapshot).collect();
-    out.health
-        .expect_reconciled(pre.requests_in(lo, hi), out.one_hop_hits, sim, shard, tick);
+    out.health.search = out.part.health;
+    out.health.expect_reconciled(
+        pre.requests_in(lo, hi),
+        out.part.one_hop_hits,
+        sim,
+        shard,
+        tick,
+    );
     out
-}
-
-/// Serves one quiet-regime query: the split path's rank-based hit check
-/// against the querier's membership mirror (a shard interleaves
-/// thousands of queriers, so a shared peer-indexed mark cannot encode
-/// "member of *this* querier"), interval-settled messages, stateless
-/// fallback. Returns the query's latency past the queue wait, and
-/// whether it hit.
-fn serve_query_quiet(
-    arena: &CacheArena,
-    pre: &SweepPrecomp,
-    step: &QueryStep,
-    rec: &QueryRec,
-    service_md: u64,
-    st: &mut QueryState,
-    state: &mut QuerierState,
-) -> (u64, bool) {
-    let policy = &mut st.policies[st.slot];
-    state.ensure_init(policy.neighbours());
-    let members = policy.neighbours();
-    let found = pre.quiet_hit(arena, rec, members.len(), members.iter().copied(), |s| {
-        state.is_member(s)
-    });
-
-    st.health.attempted += 1;
-    let found = found.map(|u| (u, 1));
-    let fallback = || pre.fallback(rec);
-    let acq = step
-        .resolve(st.health, st.querier, rec.file, found, service_md, fallback)
-        .expect("service mode has no outages, so every lookup resolves");
-
-    // Policy update + interval settling (the split path's accounting:
-    // a member removed after this querier's `q`-th served query was
-    // queried during `[start, q]`).
-    let (added, removed) = policy.record_upload_with_popularity_delta(acq.uploader, rec.rank);
-    if let Some(rm) = removed {
-        let start = state.remove(rm);
-        st.messages[rm as usize] += u64::from(state.served + 1 - start);
-    }
-    if let Some(ad) = added {
-        state.add(ad, state.served + 1);
-    }
-    state.served += 1;
-    (QUERY_RTT_MD + acq.route_md, acq.hop == 1)
 }
 
 #[cfg(test)]
@@ -925,12 +892,24 @@ mod tests {
     #[test]
     fn reports_are_shard_merge_deterministic_across_threads() {
         let arena = community(16, 40);
-        let config = ServeConfig::new(SimConfig::lru(4))
-            .with_arrival(ArrivalConfig::bursty(5, 400, 20))
-            .with_service(10, 8, 2);
-        let base = serve_arena_threads(&arena, &config, 1);
-        for threads in [2usize, 8] {
-            assert_eq!(serve_arena_threads(&arena, &config, threads), base);
+        for sim in [
+            SimConfig::lru(4),
+            SimConfig::history(4),
+            SimConfig::random(4),
+            SimConfig::rare_lru(4, 10),
+        ] {
+            for (tick_md, capacity, per_tick, sheds) in [(10, 8, 2, false), (100, 2, 1, true)] {
+                let config = ServeConfig::new(sim.clone())
+                    .with_arrival(ArrivalConfig::bursty(5, 400, 20))
+                    .with_service(tick_md, capacity, per_tick);
+                let base = serve_arena_threads(&arena, &config, 1);
+                let h = &base.health;
+                assert!(!sheds || (h.shed > 0 && h.deferred > 0));
+                for threads in [2usize, 8] {
+                    let report = serve_arena_threads(&arena, &config, threads);
+                    assert_eq!(report, base, "{:?} {capacity}", sim.policy);
+                }
+            }
         }
     }
 

@@ -1380,8 +1380,8 @@ pub fn simulate_reference(
 /// the policy draws nothing from the sequential RNG (excludes Random)
 /// and relays never matter (no two-hop). Forwarding index backends
 /// (federated, DHT) are excluded too: their per-(querier, day) outage
-/// stranding breaks the same arrival-rank invariance, and their hop
-/// accounting has no mirror in the quiet interval-settled path — they
+/// stranding breaks the same arrival-rank invariance, and the split
+/// path's miss hook into the quiet kernel books no hops — they
 /// always run whole-cell (DESIGN.md §10). Non-quiet adversary plans
 /// also run whole-cell: hijacked and polluted records change *which*
 /// peer a list holds, and the split paths have no mirror of the
@@ -1399,12 +1399,22 @@ pub fn split_eligible(config: &SimConfig) -> bool {
 /// offset — one 16-byte load where the hot loop would otherwise chase
 /// three parallel arrays. Shared with [`crate::serve`], which replays
 /// the same records as a timed arrival stream.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct QueryRec {
     pub(crate) t: u32,
     pub(crate) file: FileRef,
     pub(crate) rank: u32,
     pub(crate) off: u32,
+}
+
+impl QueryRec {
+    /// A placeholder for buffers about to be filled.
+    pub(crate) const BLANK: QueryRec = QueryRec {
+        t: 0,
+        file: FileRef(0),
+        rank: 0,
+        off: 0,
+    };
 }
 
 /// Policy-independent precomputation shared by every split-eligible
@@ -1424,7 +1434,9 @@ pub(crate) struct QueryRec {
 ///   work-stealing scheduler splits cells by.
 pub struct SweepPrecomp {
     pub(crate) seed: u64,
-    pub(crate) stream: Vec<(u32, FileRef)>,
+    /// Length of the shuffled request stream (requests plus contributor
+    /// seeds): the batch clock's divisor.
+    pub(crate) stream_len: usize,
     /// Arrival-ordered sharers per file (CSR over files; each
     /// [`QueryRec`] carries its own row offset, so the offsets table is
     /// consumed during construction rather than stored).
@@ -1444,7 +1456,7 @@ pub struct SweepPrecomp {
 }
 
 impl SweepPrecomp {
-    /// Builds the precomputation: one shuffle plus two linear passes.
+    /// Builds the precomputation: one shuffle plus three linear passes.
     pub fn new(arena: &CacheArena, seed: u64) -> Self {
         Self::new_with_rng(arena, seed).0
     }
@@ -1461,15 +1473,23 @@ impl SweepPrecomp {
         let n_files = arena.n_files();
         let mut rng = StdRng::seed_from_u64(seed);
 
-        let mut stream: Vec<(u32, FileRef)> = Vec::with_capacity(arena.replica_count());
+        // The request stream, each `(peer, file)` entry carrying its
+        // arena CSR index. It starts in CSR order (peer order, row
+        // order), and the shuffle's draws depend only on the length, so
+        // the order and the generator's final state are exactly those
+        // of shuffling bare `(peer, file)` pairs.
+        let (entries, offsets) = arena.as_csr_parts();
+        let mut stream: Vec<(u32, FileRef, u32)> = Vec::with_capacity(entries.len());
         for p in 0..n_peers {
-            stream.extend(arena.cache(p).iter().map(|&f| (p as u32, f)));
+            let row = offsets[p]..offsets[p + 1];
+            stream.extend(row.map(|k| (p as u32, entries[k as usize], k)));
         }
         shuffle(&mut stream, &mut rng);
+        let stream_len = stream.len();
 
         // Arrival CSR offsets: per-file replica counts, prefix-summed.
         let mut arrivals_off = vec![0u32; n_files + 1];
-        for &(_, f) in &stream {
+        for &(_, f, _) in &stream {
             arrivals_off[f.index() + 1] += 1;
         }
         for i in 0..n_files {
@@ -1477,24 +1497,27 @@ impl SweepPrecomp {
         }
 
         // Single pass: per-entry rank, arrival-ordered sharers, per-peer
-        // request counts.
+        // request counts. The rank is scattered to its arena entry
+        // (`rank_by`, the member-major probe's table) and replaces the
+        // CSR index in the stream for the pass below.
         let mut cursor: Vec<u32> = arrivals_off[..n_files].to_vec();
-        let mut rank = vec![0u32; stream.len()];
-        let mut arrivals = vec![0 as Peer; stream.len()];
+        let mut rank_by = vec![0u32; stream_len];
+        let mut arrivals = vec![0 as Peer; stream_len];
         let mut per_peer = vec![0u32; n_peers];
         let mut requests = 0u64;
-        for (t, &(p, f)) in stream.iter().enumerate() {
+        for (p, f, k) in stream.iter_mut() {
             let fi = f.index();
             let r = cursor[fi] - arrivals_off[fi];
-            rank[t] = r;
-            arrivals[cursor[fi] as usize] = p;
+            rank_by[*k as usize] = r;
+            *k = r;
+            arrivals[cursor[fi] as usize] = *p;
             cursor[fi] += 1;
             if r > 0 {
-                per_peer[p as usize] += 1;
+                per_peer[*p as usize] += 1;
                 requests += 1;
             }
         }
-        let contributor_seeds = stream.len() as u64 - requests;
+        let contributor_seeds = stream_len as u64 - requests;
 
         // Request positions per querier (CSR over peers).
         let mut queries_off = vec![0u32; n_peers + 1];
@@ -1502,42 +1525,23 @@ impl SweepPrecomp {
             queries_off[p + 1] = queries_off[p] + per_peer[p];
         }
         let mut qcursor: Vec<u32> = queries_off[..n_peers].to_vec();
-        let mut queries = vec![
-            QueryRec {
-                t: 0,
-                file: FileRef(0),
-                rank: 0,
-                off: 0
-            };
-            requests as usize
-        ];
-        for (t, &(p, f)) in stream.iter().enumerate() {
-            if rank[t] > 0 {
+        let mut queries = vec![QueryRec::BLANK; requests as usize];
+        for (t, &(p, f, rank)) in stream.iter().enumerate() {
+            if rank > 0 {
                 queries[qcursor[p as usize] as usize] = QueryRec {
                     t: t as u32,
                     file: f,
-                    rank: rank[t],
+                    rank,
                     off: arrivals_off[f.index()],
                 };
                 qcursor[p as usize] += 1;
             }
         }
 
-        // Arrival rank per arena CSR entry, for the member-major probe.
-        let (entries, offsets) = arena.as_csr_parts();
-        let mut rank_by = vec![0u32; entries.len()];
-        for (t, &(p, f)) in stream.iter().enumerate() {
-            let row = arena.cache(p as usize);
-            let pos = row
-                .binary_search(&f)
-                .expect("stream entries come from arena rows");
-            rank_by[offsets[p as usize] as usize + pos] = rank[t];
-        }
-
         (
             SweepPrecomp {
                 seed,
-                stream,
+                stream_len,
                 arrivals,
                 queries,
                 queries_off,
@@ -1553,6 +1557,14 @@ impl SweepPrecomp {
     /// The seed this precomputation was built for.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// `rec`'s batch instant in milli-days: the stream spread uniformly
+    /// over `virtual_days` days.
+    #[inline]
+    pub(crate) fn batch_md(&self, rec: &QueryRec, virtual_days: u32) -> u64 {
+        let span_millis = u64::from(virtual_days.max(1)) * 1000;
+        u64::from(rec.t) * span_millis / self.stream_len.max(1) as u64
     }
 
     /// Querier `p`'s requests, in stream order.
@@ -1575,40 +1587,6 @@ impl SweepPrecomp {
     pub(crate) fn fallback(&self, rec: &QueryRec) -> Peer {
         let prefix = self.prefix(rec);
         prefix[fallback_index(self.seed, u64::from(rec.t), prefix.len())]
-    }
-
-    /// The quiet one-hop probe of the split and serve paths: the list
-    /// member with the minimal arrival rank below `rec.rank` — the same
-    /// uploader a scan of the sharer prefix for the first member finds.
-    /// Popular files (a prefix over [`MEMBER_MAJOR_CUTOFF`] times
-    /// `n_members` long) look each of `members` up in its arena row;
-    /// rare files scan the prefix with `is_member`.
-    #[inline]
-    pub(crate) fn quiet_hit(
-        &self,
-        arena: &CacheArena,
-        rec: &QueryRec,
-        n_members: usize,
-        members: impl IntoIterator<Item = Peer>,
-        is_member: impl Fn(Peer) -> bool,
-    ) -> Option<Peer> {
-        let r = rec.rank as usize;
-        if r <= MEMBER_MAJOR_CUTOFF * n_members.max(1) {
-            return self.prefix(rec).iter().copied().find(|&s| is_member(s));
-        }
-        let (files, offsets) = arena.as_csr_parts();
-        let mut best: Option<(u32, Peer)> = None;
-        members.into_iter().for_each(|m| {
-            let lo = offsets[m as usize] as usize;
-            let hi = offsets[m as usize + 1] as usize;
-            if let Ok(pos) = files[lo..hi].binary_search(&rec.file) {
-                let rk = self.rank_by[lo + pos];
-                if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
-                    best = Some((rk, m));
-                }
-            }
-        });
-        best.map(|(_, m)| m)
     }
 
     /// Requests issued by queriers in `[lo, hi)` — the scheduler's cost
@@ -1641,9 +1619,9 @@ impl SweepPrecomp {
     }
 }
 
-/// Per-worker scratch for [`simulate_cell_range`]: one pooled policy
-/// (renewed per querier), the churn path's walk buffers, and the quiet
-/// path's interval ledger.
+/// Per-worker scratch for [`simulate_cell_range`] and the serving
+/// engine's shards: one pooled policy (renewed per querier), the churn
+/// path's walk buffers, and the quiet kernel's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
     policy: Option<AnyPolicy>,
@@ -1656,7 +1634,7 @@ pub struct SplitScratch {
     /// counters between queriers.
     generation: u64,
     quiet: QuietState,
-    walk: WalkScratch,
+    pub(crate) walk: WalkScratch,
 }
 
 impl SplitScratch {
@@ -1669,7 +1647,7 @@ impl SplitScratch {
 /// Sentinel for "no peer" in [`QuietState`]'s intrusive links.
 const NO_PEER: u32 = u32::MAX;
 
-/// Peer-indexed policy state for the quiet split path.
+/// Peer-indexed policy state for the quiet kernel.
 ///
 /// The `neighbours` policies scan their list for every membership test,
 /// `memmove` every head insert and (History) hash every counter
@@ -1699,7 +1677,7 @@ struct QuietState {
     seen: Vec<u64>,
     clock: u64,
     /// History's member list, sorted by `(count, recency)` descending —
-    /// exactly [`History`]'s list order.
+    /// exactly [`History`]'s list order; a fixed list in its own order.
     list: Vec<Peer>,
 }
 
@@ -1843,11 +1821,43 @@ impl QuietState {
         delta
     }
 
+    /// The one-hop probe: the member with the minimal arrival rank below
+    /// `rec.rank` — the same uploader a scan of the sharer prefix for the
+    /// first member finds. Popular files (a prefix over
+    /// [`MEMBER_MAJOR_CUTOFF`] times the member count long) look each
+    /// member up in its arena row; rare files scan the prefix.
+    #[inline]
+    fn hit(
+        &self,
+        kind: QuietKind,
+        arena: &CacheArena,
+        pre: &SweepPrecomp,
+        rec: &QueryRec,
+    ) -> Option<Peer> {
+        let r = rec.rank as usize;
+        if r <= MEMBER_MAJOR_CUTOFF * self.member_count(kind).max(1) {
+            return pre.prefix(rec).iter().copied().find(|&s| self.is_member(s));
+        }
+        let (files, offsets) = arena.as_csr_parts();
+        let mut best: Option<(u32, Peer)> = None;
+        self.members(kind).for_each(|m| {
+            let lo = offsets[m as usize] as usize;
+            let hi = offsets[m as usize + 1] as usize;
+            if let Ok(pos) = files[lo..hi].binary_search(&rec.file) {
+                let rk = pre.rank_by[lo + pos];
+                if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
+                    best = Some((rk, m));
+                }
+            }
+        });
+        best.map(|(_, m)| m)
+    }
+
     /// Number of current list members.
     #[inline]
     fn member_count(&self, kind: QuietKind) -> usize {
         match kind {
-            QuietKind::History => self.list.len(),
+            QuietKind::History | QuietKind::Fixed => self.list.len(),
             _ => self.len,
         }
     }
@@ -1857,7 +1867,7 @@ impl QuietState {
     #[inline]
     fn members(&self, kind: QuietKind) -> impl Iterator<Item = u32> + '_ {
         let (list, head) = match kind {
-            QuietKind::History => (&self.list[..], NO_PEER),
+            QuietKind::History | QuietKind::Fixed => (&self.list[..], NO_PEER),
             _ => (&[][..], self.head),
         };
         let linked = std::iter::successors((head != NO_PEER).then_some(head), |&m| {
@@ -1867,12 +1877,12 @@ impl QuietState {
         list.iter().copied().chain(linked)
     }
 
-    /// End-of-querier settling walk: visits every member while clearing
-    /// its membership bit, restoring the all-zero invariant `reset`
-    /// relies on.
+    /// End-of-querier settling walk: visits every member in list order
+    /// (LRU kinds most recent first) while clearing its membership bit,
+    /// restoring the all-zero invariant `reset` relies on.
     fn settle_members(&mut self, kind: QuietKind, mut f: impl FnMut(u32)) {
         match kind {
-            QuietKind::History => {
+            QuietKind::History | QuietKind::Fixed => {
                 for i in 0..self.list.len() {
                     let m = self.list[i];
                     self.unset_member(m);
@@ -1894,12 +1904,15 @@ impl QuietState {
 /// Membership delta of one policy update: `(added, removed)`.
 type Delta = (Option<Peer>, Option<Peer>);
 
-/// The split-eligible policy kinds, with the rare-file cutoff resolved.
+/// The quiet kernel's policy kinds, with the rare-file cutoff resolved.
+/// `Fixed` is Random's seeded list, which no upload changes (only serve
+/// replays have one: the split path excludes Random).
 #[derive(Clone, Copy, Debug)]
 enum QuietKind {
     Lru,
     History,
     RareLru { max_sources: u32 },
+    Fixed,
 }
 
 /// One subtask's contribution to a cell: every field merges by plain
@@ -1996,7 +2009,17 @@ pub fn simulate_cell_range(
             continue;
         }
         if quiet {
-            simulate_querier_quiet(arena, pre, config, requests, scratch, profile, &mut part);
+            let resolve = |_, rec: &QueryRec, found: Option<Peer>, health: &mut SearchHealth| {
+                let booked = match found {
+                    Some(_) => &mut health.answered,
+                    None => &mut health.server_fallback,
+                };
+                *booked += 1;
+                found.unwrap_or_else(|| pre.fallback(rec))
+            };
+            simulate_querier_quiet(
+                arena, pre, config, requests, scratch, profile, &mut part, resolve, None,
+            );
         } else {
             simulate_querier_churn(pre, config, &step, p, scratch, profile, &mut part);
         }
@@ -2011,9 +2034,17 @@ pub fn simulate_cell_range(
 /// uploader the sequential sharer-order scan finds.
 const MEMBER_MAJOR_CUTOFF: usize = 128;
 
-/// Quiet-regime querier replay: interval-settled messages, rank-based
-/// hit checks, no walk buffers.
-fn simulate_querier_quiet(
+/// The quiet-regime query kernel: one querier's `requests` replayed
+/// with interval-settled messages, rank-based hit checks and no walk
+/// buffers. Without churn, adversaries or outages a querier's outcomes
+/// depend only on its own requests in order, so the split path replays
+/// its requests in stream order and serve its served queries in service
+/// order (DESIGN.md §7). `resolve(q, rec, found, health)` books request
+/// `q`'s one-hop answer or miss and returns the uploader. `list`, if
+/// given, holds the initial list (Random's seeded one; empty otherwise)
+/// and receives the final list in policy order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_querier_quiet(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &SimConfig,
@@ -2021,6 +2052,8 @@ fn simulate_querier_quiet(
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
+    mut resolve: impl FnMut(usize, &QueryRec, Option<Peer>, &mut SearchHealth) -> Peer,
+    mut list: Option<&mut Vec<Peer>>,
 ) {
     let SplitScratch {
         start_of,
@@ -2032,7 +2065,7 @@ fn simulate_querier_quiet(
         PolicyKind::Lru => QuietKind::Lru,
         PolicyKind::History => QuietKind::History,
         PolicyKind::RareLru { max_sources } => QuietKind::RareLru { max_sources },
-        PolicyKind::Random => unreachable!("Random cells are split-ineligible"),
+        PolicyKind::Random => QuietKind::Fixed,
     };
     let cap = config.list_size;
     if start_of.len() < pre.n_peers {
@@ -2041,36 +2074,25 @@ fn simulate_querier_quiet(
     quiet.reset(pre.n_peers);
     *generation += 1;
     let generation = *generation;
+    if let Some(initial) = &list {
+        debug_assert!(initial.is_empty() || matches!(kind, QuietKind::Fixed));
+        for &m in initial.iter() {
+            quiet.set_member(m);
+            quiet.list.push(m);
+            start_of[m as usize] = 0;
+        }
+    }
     for (q, rec) in requests.iter().enumerate() {
-        let q = q as u32;
-        let r = rec.rank as usize;
-
         // One-hop hit; membership is one bit load (the bits mirror the
         // list via the upload deltas below).
         let t0 = profile.then(Instant::now);
-        let uploader = pre.quiet_hit(
-            arena,
-            rec,
-            quiet.member_count(kind),
-            quiet.members(kind),
-            |s| quiet.is_member(s),
-        );
+        let found = quiet.hit(kind, arena, pre, rec);
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
-
         part.health.attempted += 1;
-        let uploader = match uploader {
-            Some(u) => {
-                part.one_hop_hits += 1;
-                part.health.answered += 1;
-                u
-            }
-            None => {
-                part.health.server_fallback += 1;
-                pre.fallback(rec)
-            }
-        };
+        part.one_hop_hits += u64::from(found.is_some());
+        let uploader = resolve(q, rec, found, &mut part.health);
 
         // Policy update + interval settling: a member evicted after
         // request `q` was queried during `[start, q]`.
@@ -2078,14 +2100,12 @@ fn simulate_querier_quiet(
         let (added, removed) = match kind {
             QuietKind::Lru => quiet.lru_record(uploader, cap),
             QuietKind::History => quiet.hist_record(uploader, cap, generation),
-            QuietKind::RareLru { max_sources } => {
-                if r as u32 <= max_sources {
-                    quiet.lru_record(uploader, cap)
-                } else {
-                    (None, None)
-                }
+            QuietKind::RareLru { max_sources } if rec.rank <= max_sources => {
+                quiet.lru_record(uploader, cap)
             }
+            QuietKind::RareLru { .. } | QuietKind::Fixed => (None, None),
         };
+        let q = q as u32;
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
         }
@@ -2099,8 +2119,14 @@ fn simulate_querier_quiet(
     // Settle members still listed at the end of the querier's stream,
     // clearing their membership bits for the next querier.
     let total = requests.len() as u32;
+    if let Some(list) = &mut list {
+        list.clear();
+    }
     quiet.settle_members(kind, |m| {
         part.messages[m as usize] += u64::from(total - start_of[m as usize]);
+        if let Some(list) = &mut list {
+            list.push(m);
+        }
     });
 }
 
@@ -2125,8 +2151,6 @@ fn simulate_querier_churn(
     policy.renew_adaptive(kind, size);
     let walk = &mut scratch.walk;
     walk.ensure(pre.n_peers);
-    let span_millis = u64::from(config.availability.virtual_days.max(1)) * 1000;
-    let stream_len = pre.stream.len().max(1) as u64;
 
     for rec in pre.requests_of(querier) {
         let prefix = pre.prefix(rec);
@@ -2139,7 +2163,7 @@ fn simulate_querier_churn(
             health: &mut part.health,
         };
         let t0 = profile.then(Instant::now);
-        let start_md = u64::from(rec.t) * span_millis / stream_len;
+        let start_md = pre.batch_md(rec, config.availability.virtual_days);
         let run = step.attempts(&mut st, start_md, walk, |w, _, _, _| {
             w.first_marked(prefix).map(|s| (s, 1))
         });
@@ -2765,5 +2789,110 @@ mod tests {
         let small = simulate(&caches, 30, &SimConfig::lru(2));
         let large = simulate(&caches, 30, &SimConfig::lru(11));
         assert!(large.hit_rate() >= small.hit_rate() - 0.02);
+    }
+
+    /// The construction [`SweepPrecomp::new_with_rng`] replaced: it
+    /// shuffles bare `(peer, file)` pairs and binary-searches every
+    /// entry back into its arena row to fill `rank_by`. Kept as the
+    /// oracle of the property below.
+    fn precomp_by_search(arena: &CacheArena, seed: u64) -> (SweepPrecomp, StdRng) {
+        let n_peers = arena.n_peers();
+        let n_files = arena.n_files();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stream: Vec<(u32, FileRef)> = Vec::new();
+        for p in 0..n_peers {
+            stream.extend(arena.cache(p).iter().map(|&f| (p as u32, f)));
+        }
+        shuffle(&mut stream, &mut rng);
+        let mut arrivals_off = vec![0u32; n_files + 1];
+        for &(_, f) in &stream {
+            arrivals_off[f.index() + 1] += 1;
+        }
+        for i in 0..n_files {
+            arrivals_off[i + 1] += arrivals_off[i];
+        }
+        let mut cursor: Vec<u32> = arrivals_off[..n_files].to_vec();
+        let mut rank = vec![0u32; stream.len()];
+        let mut arrivals = vec![0 as Peer; stream.len()];
+        let mut per_peer = vec![0u32; n_peers];
+        for (t, &(p, f)) in stream.iter().enumerate() {
+            let fi = f.index();
+            rank[t] = cursor[fi] - arrivals_off[fi];
+            arrivals[cursor[fi] as usize] = p;
+            cursor[fi] += 1;
+            per_peer[p as usize] += u32::from(rank[t] > 0);
+        }
+        let mut queries_off = vec![0u32; n_peers + 1];
+        for p in 0..n_peers {
+            queries_off[p + 1] = queries_off[p] + per_peer[p];
+        }
+        let requests = queries_off[n_peers] as u64;
+        let mut qcursor: Vec<u32> = queries_off[..n_peers].to_vec();
+        let mut queries = vec![QueryRec::BLANK; requests as usize];
+        for (t, &(p, f)) in stream.iter().enumerate() {
+            if rank[t] > 0 {
+                queries[qcursor[p as usize] as usize] = QueryRec {
+                    t: t as u32,
+                    file: f,
+                    rank: rank[t],
+                    off: arrivals_off[f.index()],
+                };
+                qcursor[p as usize] += 1;
+            }
+        }
+        let (_, offsets) = arena.as_csr_parts();
+        let mut rank_by = vec![0u32; stream.len()];
+        for (t, &(p, f)) in stream.iter().enumerate() {
+            let pos = arena
+                .cache(p as usize)
+                .binary_search(&f)
+                .expect("row entry");
+            rank_by[offsets[p as usize] as usize + pos] = rank[t];
+        }
+        let pre = SweepPrecomp {
+            seed,
+            stream_len: stream.len(),
+            arrivals,
+            queries,
+            queries_off,
+            rank_by,
+            requests,
+            contributor_seeds: stream.len() as u64 - requests,
+            n_peers,
+        };
+        (pre, rng)
+    }
+
+    proptest::proptest! {
+        /// Carrying each entry's CSR index through the shuffle builds
+        /// exactly what the binary-search construction builds, and
+        /// leaves the generator in the same state.
+        #[test]
+        fn precomp_matches_the_binary_search_construction(
+            rows in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..40, 0..10),
+                0..24,
+            ),
+            seed in 0u64..1000,
+        ) {
+            let caches: Vec<Vec<FileRef>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&i| f(i)).collect())
+                .collect();
+            let arena = CacheArena::from_caches(&caches, 40);
+            let (got, mut got_rng) = SweepPrecomp::new_with_rng(&arena, seed);
+            let (want, mut want_rng) = precomp_by_search(&arena, seed);
+            proptest::prop_assert_eq!(&got.rank_by, &want.rank_by);
+            proptest::prop_assert_eq!(&got.queries, &want.queries);
+            proptest::prop_assert_eq!(&got.queries_off, &want.queries_off);
+            proptest::prop_assert_eq!(&got.arrivals, &want.arrivals);
+            proptest::prop_assert_eq!(
+                (got.stream_len, got.requests, got.contributor_seeds),
+                (want.stream_len, want.requests, want.contributor_seeds)
+            );
+            for _ in 0..4 {
+                proptest::prop_assert_eq!(got_rng.gen_range(0..=u64::MAX), want_rng.gen_range(0..=u64::MAX));
+            }
+        }
     }
 }

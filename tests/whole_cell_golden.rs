@@ -1,12 +1,13 @@
 //! Golden digests of the Section 5 query kernels outside the quiet
-//! split path.
+//! split sweep.
 //!
 //! Cells with churn, outages, forwarding backends, adversaries,
 //! two-hop search or Random lists run whole on one thread
 //! (`simulate_arena_health_with_scratch`); churned split-eligible cells
 //! run querier by querier (`simulate_cell_range`); churned serve
 //! replays and the live overlay run the same query step with their own
-//! clock and probe. These tests pin every output of those kernels at
+//! clock and probe; quiet serve replays run the quiet split kernel over
+//! each querier's served queries. These tests pin every output of those kernels at
 //! the bench crate's `Scale::Test` workload: the `SimResult` (per-peer
 //! message loads included), the `SearchHealth` ledger and, where the
 //! kernel exposes them, the final neighbour lists.
@@ -386,6 +387,39 @@ fn adversarial_bounded_serve_replay_is_pinned() {
         serve_digest(&report),
         0x97da_cca0_8374_bf21,
     );
+}
+
+#[test]
+fn quiet_bounded_serve_replays_are_pinned() {
+    // Quiet cells replay each querier's served queries through the
+    // split path's interval-settled kernel. Bursty arrivals into short
+    // queues shed and defer; the federation forwards final misses.
+    let cells = [
+        ("LRU-20", SimConfig::lru(20), 0x75a7_e9f6_4abd_7d19),
+        ("History-20", SimConfig::history(20), 0xcb7a_4939_f5f4_79c1),
+        (
+            "RareLru-20",
+            SimConfig::rare_lru(20, 10),
+            0xe89e_7d74_eaae_a2a2,
+        ),
+        ("Random-20", SimConfig::random(20), 0x0118_dd6f_c05c_e4a2),
+    ];
+    for (label, sim, expected) in cells {
+        let sim = sim
+            .with_seed(SEED)
+            .with_backend(IndexBackend::Federated { n_servers: 8 });
+        let config = ServeConfig::new(sim)
+            .with_arrival(ArrivalConfig::bursty(SEED ^ 0x5e, 600, 40))
+            .with_service(20, 12, 2);
+        let report = serve_arena_threads(arena(), &config, 2);
+        let h = &report.health;
+        assert!(h.shed > 0 && h.deferred > 0 && h.search.forwarded > 0);
+        assert_digest(
+            &format!("serve {label} quiet federated-8 bounded"),
+            serve_digest(&report),
+            expected,
+        );
+    }
 }
 
 /// Runs the live overlay over the first eight days of the test-scale
